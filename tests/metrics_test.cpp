@@ -2,13 +2,16 @@
 // records) against engine-driven scenarios, and for the structured metrics
 // registry (registry.h): metric resolution and label-group isolation,
 // histogram bucket semantics, JSON export (escaping, empty-run eagerness),
-// and the engine/recovery/tenant wiring through RunOptions.metrics.
+// the engine/recovery/tenant wiring through RunOptions.metrics, and whole
+// exported documents pinned byte for byte against tests/golden/.
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "golden_scenarios.h"
+#include "run_digest.h"
 #include "ssr/common/check.h"
 #include "ssr/exp/open_scenario.h"
 #include "ssr/exp/scenario.h"
@@ -85,6 +88,24 @@ TEST(TaskStats, TotalsAggregateAcrossJobs) {
   EXPECT_EQ(t.tasks_finished, 5u);
   EXPECT_EQ(t.copies_started, 0u);
   EXPECT_EQ(stats.stats(JobId{42}).tasks_started, 0u);  // unknown job
+}
+
+TEST(TaskStats, AttemptEndWithoutMatchingStartIsRejected) {
+  // Driven directly, not through an engine run: an end callback must name
+  // the attempt its slot is running, or busy time would be misattributed.
+  Engine engine(SchedConfig{}, 1, 2, 1);
+  const JobId job =
+      engine.submit(JobBuilder("x").stage(2, fixed_duration(1.0)).build());
+  const TaskId first{StageId{job, 0}, 0, 0};
+  const TaskId second{StageId{job, 0}, 1, 0};
+  TaskStatsCollector stats;
+  // Nothing running on slot 1.
+  EXPECT_THROW(stats.on_task_finished(engine, first, SlotId{1}), CheckError);
+  // Slot 0 runs `first`; ending `second` there is a mismatch.
+  stats.on_task_started(engine, first, SlotId{0});
+  EXPECT_THROW(stats.on_task_killed(engine, second, SlotId{0}), CheckError);
+  EXPECT_THROW(stats.on_task_failed(engine, second, SlotId{0}), CheckError);
+  EXPECT_NO_THROW(stats.on_task_finished(engine, first, SlotId{0}));
 }
 
 // --- Metrics registry --------------------------------------------------------
@@ -240,7 +261,9 @@ TEST(EngineMetrics, ScenarioRunFeedsRegistryAndRecoverySnapshot) {
   EXPECT_GT(run.recovery.slots_failed, 0u);
 }
 
-TEST(EngineMetrics, OpenRunRecordsPerTenantLabelGroups) {
+/// Two-tenant open run (batch + interactive, queueing admission) feeding
+/// `registry` under {policy=open}, including the end-of-run tenant ledger.
+RunResult two_tenant_open_run(MetricsRegistry& registry) {
   std::vector<OpenTenantProfile> profiles;
   for (const char* name : {"batch", "interactive"}) {
     OpenTenantProfile p;
@@ -260,15 +283,17 @@ TEST(EngineMetrics, OpenRunRecordsPerTenantLabelGroups) {
     spec.tenants.push_back(vc);
   }
 
-  MetricsRegistry registry;
   RunOptions o;
   o.seed = 6;
   o.metrics = &registry;
   o.metrics_policy = "open";
+  return run_open_scenario(ClusterSpec{.nodes = 4, .slots_per_node = 2}, spec,
+                           make_open_arrivals(profiles, 99), o);
+}
 
-  const RunResult run =
-      run_open_scenario(ClusterSpec{.nodes = 4, .slots_per_node = 2}, spec,
-                        make_open_arrivals(profiles, 99), o);
+TEST(EngineMetrics, OpenRunRecordsPerTenantLabelGroups) {
+  MetricsRegistry registry;
+  const RunResult run = two_tenant_open_run(registry);
 
   ASSERT_EQ(run.tenants.size(), 2u);
   for (const TenantResult& t : run.tenants) {
@@ -284,6 +309,29 @@ TEST(EngineMetrics, OpenRunRecordsPerTenantLabelGroups) {
   }
   const std::string json = registry_json(registry);
   EXPECT_NE(json.find("\"tenant\":\"interactive\""), std::string::npos);
+}
+
+// --- Committed ssr-metrics-v1 documents --------------------------------------
+
+// Byte-for-byte pins of whole exported documents: series set, creation
+// order, label groups and every value.  Regenerate with SSR_UPDATE_GOLDEN=1
+// ./tests/metrics_test and review the diff.
+
+TEST(MetricsGolden, FailureRecoveryDocumentIsByteIdentical) {
+  GoldenScenario s = failure_recovery_scenario();
+  ASSERT_EQ(s.passes.size(), 1u);
+  GoldenPass& pass = s.passes.front();
+  MetricsRegistry registry;
+  RunOptions options = pass.options;
+  options.metrics = &registry;
+  run_scenario(s.cluster, std::move(pass.jobs), options);
+  compare_golden("failure_recovery.metrics.json", registry_json(registry));
+}
+
+TEST(MetricsGolden, TwoTenantOpenDocumentIsByteIdentical) {
+  MetricsRegistry registry;
+  two_tenant_open_run(registry);
+  compare_golden("open_tenants.metrics.json", registry_json(registry));
 }
 
 }  // namespace
