@@ -49,12 +49,16 @@ void ReplayResultBuilder::accrue(SlotMirror& s, SimTime now) {
   s.state_since = now;
 }
 
-void ReplayResultBuilder::record_busy(TaskId task, SimTime now) {
-  auto it = started_at_.find(task);
-  SSR_CHECK_MSG(it != started_at_.end(),
+JobTaskStats& ReplayResultBuilder::job_stats(JobId job) {
+  if (job.v >= task_stats_.size()) task_stats_.resize(job.v + 1);
+  return task_stats_[job.v];
+}
+
+void ReplayResultBuilder::record_busy(TaskId task, SlotId slot, SimTime now) {
+  const std::optional<SimTime> start = running_.end(slot, task);
+  SSR_CHECK_MSG(start.has_value(),
                 "trace ends attempt " << task << " without a start");
-  task_stats_[task.stage.job].busy_seconds += now - it->second;
-  started_at_.erase(it);
+  job_stats(task.stage.job).busy_seconds += now - *start;
 }
 
 void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
@@ -76,9 +80,9 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
       SlotMirror& s = slot_mirror(e.slot);
       accrue(s, e.time);
       s.state = kBusy;
-      JobTaskStats& ts = task_stats_[e.task.stage.job];
+      JobTaskStats& ts = job_stats(e.task.stage.job);
       ++ts.tasks_started;
-      started_at_[e.task] = e.time;
+      running_.start(e.slot, e.task, e.time);
       if (e.task.attempt >= 1) ++ts.copies_started;
       if (e.local) ++ts.local_starts;
       break;
@@ -87,10 +91,10 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
       SlotMirror& s = slot_mirror(e.slot);
       accrue(s, e.time);
       s.state = kIdle;
-      JobTaskStats& ts = task_stats_[e.task.stage.job];
+      record_busy(e.task, e.slot, e.time);
+      JobTaskStats& ts = job_stats(e.task.stage.job);
       ++ts.tasks_finished;
       if (e.task.attempt >= 1) ++ts.copies_won;
-      record_busy(e.task, e.time);
       if (failed_pending_.erase(logical_task(e.task)) > 0) {
         ++recovery_.failures_masked;
       }
@@ -100,8 +104,8 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
       SlotMirror& s = slot_mirror(e.slot);
       accrue(s, e.time);
       s.state = kIdle;
-      ++task_stats_[e.task.stage.job].tasks_killed;
-      record_busy(e.task, e.time);
+      record_busy(e.task, e.slot, e.time);
+      ++job_stats(e.task.stage.job).tasks_killed;
       break;
     }
     case TraceEventKind::kTaskFailed: {
@@ -110,8 +114,8 @@ void ReplayResultBuilder::on_trace_event(const TraceEvent& e) {
       SlotMirror& s = slot_mirror(e.slot);
       accrue(s, e.time);
       s.state = kIdle;
-      ++task_stats_[e.task.stage.job].tasks_failed;
-      record_busy(e.task, e.time);
+      record_busy(e.task, e.slot, e.time);
+      ++job_stats(e.task.stage.job).tasks_failed;
       ++recovery_.tasks_failed;
       failed_pending_.insert(logical_task(e.task));
       break;
@@ -174,8 +178,8 @@ void ReplayResultBuilder::finalize(SimTime now) {
     jr.submit = j.submit;
     jr.finish = j.finish;
     jr.jct = j.finish - j.submit;
-    auto ts = task_stats_.find(id);
-    jr.busy_seconds = ts != task_stats_.end() ? ts->second.busy_seconds : 0.0;
+    jr.busy_seconds =
+        id.v < task_stats_.size() ? task_stats_[id.v].busy_seconds : 0.0;
     auto ri = reserved_idle_by_job_.find(id);
     jr.reserved_idle_seconds =
         ri != reserved_idle_by_job_.end() ? ri->second : 0.0;
@@ -196,8 +200,8 @@ void ReplayResultBuilder::finalize(SimTime now) {
   if (header_.counts_expired) {
     result_.reservations_expired = expired_releases_;
   }
-  // TaskStatsCollector::totals(): ascending-job fold over the stats map.
-  for (const auto& [job, s] : task_stats_) {
+  // TaskStatsCollector::totals(): ascending-job fold.
+  for (const JobTaskStats& s : task_stats_) {
     result_.task_totals.tasks_started += s.tasks_started;
     result_.task_totals.tasks_finished += s.tasks_finished;
     result_.task_totals.tasks_killed += s.tasks_killed;

@@ -12,8 +12,8 @@
 //     cluster transitions the observer events mark, settled in ascending
 //     slot-id order at run completion (Engine::drain's settle);
 //   * per-job busy seconds and task counters replay TaskStatsCollector's
-//     event-order accumulation (std::map<JobId, ...>, totals folded in
-//     ascending job order);
+//     event-order accumulation (in-flight attempts keyed by slot, stats
+//     indexed by JobId, totals folded in ascending job order);
 //   * recovery counters replay RecoveryStatsCollector's failed-pending set
 //     logic;
 //   * reservations_expired counts Expired-reason releases, which equals
@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "ssr/exp/scenario.h"
+#include "ssr/metrics/collectors.h"
 #include "ssr/metrics/trace_capture.h"
 
 namespace ssr {
@@ -72,7 +73,8 @@ class ReplayResultBuilder : public TraceConsumer {
 
   void accrue(SlotMirror& s, SimTime now);
   SlotMirror& slot_mirror(SlotId slot);
-  void record_busy(TaskId task, SimTime now);
+  JobTaskStats& job_stats(JobId job);
+  void record_busy(TaskId task, SlotId slot, SimTime now);
   void finalize(SimTime now);
 
   TraceHeader header_;
@@ -84,9 +86,9 @@ class ReplayResultBuilder : public TraceConsumer {
   /// the same accrue calls happen at the same event points).
   std::unordered_map<JobId, double> reserved_idle_by_job_;
   std::map<JobId, JobMirror> jobs_;
-  /// TaskStatsCollector mirror.
-  std::map<JobId, JobTaskStats> task_stats_;
-  std::unordered_map<TaskId, SimTime> started_at_;
+  /// TaskStatsCollector mirror (indexed by JobId).
+  std::vector<JobTaskStats> task_stats_;
+  RunningAttempts running_;
   /// RecoveryStatsCollector mirror.
   RecoveryStats recovery_;
   std::set<std::tuple<JobId, std::uint32_t, std::uint32_t>> failed_pending_;

@@ -57,63 +57,76 @@ std::vector<std::pair<SimTime, int>> RunningTasksSeries::sampled(
   return out;
 }
 
+// --- RunningAttempts ----------------------------------------------------------
+
+void RunningAttempts::start(SlotId slot, TaskId task, SimTime now) {
+  if (slot.v >= by_slot_.size()) by_slot_.resize(slot.v + 1);
+  by_slot_[slot.v] = Entry{task, now, true};
+}
+
+std::optional<SimTime> RunningAttempts::end(SlotId slot, TaskId task) {
+  if (slot.v >= by_slot_.size()) return std::nullopt;
+  Entry& e = by_slot_[slot.v];
+  if (!e.running || e.task != task) return std::nullopt;
+  e.running = false;
+  return e.start;
+}
+
 // --- TaskStatsCollector --------------------------------------------------------
 
+JobTaskStats& TaskStatsCollector::job_stats(JobId job) {
+  if (job.v >= by_job_.size()) by_job_.resize(job.v + 1);
+  return by_job_[job.v];
+}
+
 void TaskStatsCollector::on_task_started(const Engine& engine, TaskId task,
-                                         SlotId) {
-  JobTaskStats& s = by_job_[task.stage.job];
+                                         SlotId slot) {
+  JobTaskStats& s = job_stats(task.stage.job);
   ++s.tasks_started;
-  started_at_[task] = engine.sim().now();
+  running_.start(slot, task, engine.sim().now());
   if (task.attempt >= 1) ++s.copies_started;
-  const StageRuntime* st =
-      static_cast<const Engine&>(engine).stage_runtime(task.stage);
-  if (st != nullptr) {
-    // find_attempt is non-const; use the documented locality flag via a
-    // const-friendly lookup of the attempt that just started.
-    const StageRuntime* rt = st;
-    if (task.attempt == 0 && task.index < rt->parallelism() &&
-        rt->original(task.index).local) {
-      ++s.local_starts;
-    }
+  const StageRuntime* rt = engine.stage_runtime(task.stage);
+  if (rt != nullptr && task.attempt == 0 && task.index < rt->parallelism() &&
+      rt->original(task.index).local) {
+    ++s.local_starts;
   }
 }
 
 void TaskStatsCollector::on_task_finished(const Engine& engine, TaskId task,
-                                          SlotId) {
-  JobTaskStats& s = by_job_[task.stage.job];
+                                          SlotId slot) {
+  record_busy(engine, task, slot);
+  JobTaskStats& s = job_stats(task.stage.job);
   ++s.tasks_finished;
   if (task.attempt >= 1) ++s.copies_won;
-  record_busy(engine, task);
 }
 
 void TaskStatsCollector::on_task_killed(const Engine& engine, TaskId task,
-                                        SlotId) {
-  ++by_job_[task.stage.job].tasks_killed;
-  record_busy(engine, task);
+                                        SlotId slot) {
+  record_busy(engine, task, slot);
+  ++job_stats(task.stage.job).tasks_killed;
 }
 
 void TaskStatsCollector::on_task_failed(const Engine& engine, TaskId task,
-                                        SlotId) {
-  ++by_job_[task.stage.job].tasks_failed;
-  record_busy(engine, task);
+                                        SlotId slot) {
+  record_busy(engine, task, slot);
+  ++job_stats(task.stage.job).tasks_failed;
 }
 
-void TaskStatsCollector::record_busy(const Engine& engine, TaskId task) {
-  auto it = started_at_.find(task);
-  SSR_CHECK_MSG(it != started_at_.end(), "attempt ended without a start");
-  by_job_[task.stage.job].busy_seconds += engine.sim().now() - it->second;
-  started_at_.erase(it);
+void TaskStatsCollector::record_busy(const Engine& engine, TaskId task,
+                                     SlotId slot) {
+  const std::optional<SimTime> start = running_.end(slot, task);
+  SSR_CHECK_MSG(start.has_value(), "attempt ended without a start");
+  job_stats(task.stage.job).busy_seconds += engine.sim().now() - *start;
 }
 
 const JobTaskStats& TaskStatsCollector::stats(JobId job) const {
   static const JobTaskStats kEmpty;
-  auto it = by_job_.find(job);
-  return it == by_job_.end() ? kEmpty : it->second;
+  return job.v < by_job_.size() ? by_job_[job.v] : kEmpty;
 }
 
 JobTaskStats TaskStatsCollector::totals() const {
   JobTaskStats t;
-  for (const auto& [job, s] : by_job_) {
+  for (const JobTaskStats& s : by_job_) {
     t.tasks_started += s.tasks_started;
     t.tasks_finished += s.tasks_finished;
     t.tasks_killed += s.tasks_killed;

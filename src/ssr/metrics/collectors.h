@@ -6,10 +6,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "ssr/common/ids.h"
@@ -42,6 +42,26 @@ class RunningTasksSeries : public EngineObserver {
   std::map<JobId, std::vector<std::pair<SimTime, int>>> changes_;
 };
 
+/// In-flight attempts keyed by the slot running them.  A slot runs at most
+/// one attempt at a time (Slot::running_task_), so the dense slot id keys
+/// every attempt between its start and its end callback; the end callback
+/// names the attempt, which is checked against the one the slot holds.
+class RunningAttempts {
+ public:
+  void start(SlotId slot, TaskId task, SimTime now);
+  /// Start time of `task` if `slot` is running it (and marks the slot
+  /// empty); nullopt when the slot runs nothing or a different attempt.
+  std::optional<SimTime> end(SlotId slot, TaskId task);
+
+ private:
+  struct Entry {
+    TaskId task;
+    SimTime start = 0.0;
+    bool running = false;
+  };
+  std::vector<Entry> by_slot_;
+};
+
 /// Per-job aggregate task statistics.
 struct JobTaskStats {
   std::uint64_t tasks_started = 0;
@@ -63,15 +83,17 @@ class TaskStatsCollector : public EngineObserver {
   void on_task_failed(const Engine&, TaskId, SlotId) override;
 
   const JobTaskStats& stats(JobId job) const;
+  /// Folds the jobs in ascending id order.
   JobTaskStats totals() const;
 
  private:
-  void record_busy(const Engine& engine, TaskId task);
+  JobTaskStats& job_stats(JobId job);
+  void record_busy(const Engine& engine, TaskId task, SlotId slot);
 
-  std::map<JobId, JobTaskStats> by_job_;
+  /// Indexed by JobId (dense); jobs without events stay all-zero.
+  std::vector<JobTaskStats> by_job_;
   /// Start times of in-flight attempts, to attribute busy slot-seconds.
-  /// Hashed: this sees every attempt start/stop, and ordering is unused.
-  std::unordered_map<TaskId, SimTime> started_at_;
+  RunningAttempts running_;
 };
 
 /// Job completion records, in finish order.

@@ -11,167 +11,156 @@ std::vector<double> default_duration_bounds() {
   return {0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0};
 }
 
-namespace {
-
-/// Eagerly create the full per-group series set so exports from empty runs
-/// carry every series at zero instead of omitting them.
-void touch_series(MetricGroup& g) {
-  g.counter("jobs_submitted");
-  g.counter("jobs_finished");
-  g.counter("tasks_started");
-  g.counter("tasks_finished");
-  g.counter("tasks_killed");
-  g.counter("tasks_failed");
-  g.counter("tasks_requeued");
-  g.histogram("task_duration_seconds", default_duration_bounds());
-  g.histogram("jct_seconds", default_duration_bounds());
+EngineMetrics::JobSeries EngineMetrics::resolve_job_series(MetricGroup group) {
+  // Resolution order is creation order, which is export order.
+  JobSeries s;
+  s.jobs_submitted = &group.counter("jobs_submitted");
+  s.jobs_finished = &group.counter("jobs_finished");
+  s.tasks_started = &group.counter("tasks_started");
+  s.tasks_finished = &group.counter("tasks_finished");
+  s.tasks_killed = &group.counter("tasks_killed");
+  s.tasks_failed = &group.counter("tasks_failed");
+  s.tasks_requeued = &group.counter("tasks_requeued");
+  s.task_duration =
+      &group.histogram("task_duration_seconds", default_duration_bounds());
+  s.jct = &group.histogram("jct_seconds", default_duration_bounds());
+  return s;
 }
-
-}  // namespace
 
 EngineMetrics::EngineMetrics(MetricsRegistry& registry, std::string policy)
-    : registry_(registry),
-      policy_(std::move(policy)),
-      policy_group_(registry_.group({{"policy", policy_}})) {
-  touch_series(policy_group_);
-  policy_group_.counter("stages_submitted");
-  policy_group_.counter("stages_finished");
-  policy_group_.counter("stages_invalidated");
-  policy_group_.counter("slots_failed");
-  policy_group_.counter("slots_recovered");
-  policy_group_.counter("reservations_made");
-  policy_group_.counter("reservations_expired");
-  policy_group_.counter("reservations_released");
-  policy_group_.counter("reservations_broken");
-  policy_group_.gauge("makespan_seconds");
-  policy_group_.gauge("utilization");
-}
-
-MetricGroup* EngineMetrics::tenant_group(JobId job) {
-  if (!tenant_of_) return nullptr;
-  const std::string* tenant = tenant_of_(job);
-  if (tenant == nullptr) return nullptr;
-  auto it = tenant_groups_.find(*tenant);
-  if (it == tenant_groups_.end()) {
-    MetricGroup g =
-        registry_.group({{"policy", policy_}, {"tenant", *tenant}});
-    touch_series(g);
-    it = tenant_groups_.emplace(*tenant, std::move(g)).first;
-  }
-  return &it->second;
+    : registry_(registry), policy_(std::move(policy)) {
+  MetricGroup g = registry_.group({{"policy", policy_}});
+  series_ = resolve_job_series(g);
+  stages_submitted_ = &g.counter("stages_submitted");
+  stages_finished_ = &g.counter("stages_finished");
+  stages_invalidated_ = &g.counter("stages_invalidated");
+  slots_failed_ = &g.counter("slots_failed");
+  slots_recovered_ = &g.counter("slots_recovered");
+  reservations_made_ = &g.counter("reservations_made");
+  reservations_expired_ = &g.counter("reservations_expired");
+  reservations_released_ = &g.counter("reservations_released");
+  reservations_broken_ = &g.counter("reservations_broken");
+  makespan_ = &g.gauge("makespan_seconds");
+  utilization_ = &g.gauge("utilization");
 }
 
 void EngineMetrics::on_job_submitted(const Engine&, JobId job) {
-  policy_group_.counter("jobs_submitted").inc();
-  if (MetricGroup* g = tenant_group(job)) g->counter("jobs_submitted").inc();
+  series_.jobs_submitted->inc();
+  const JobSeries* tenant = nullptr;
+  if (tenant_of_) {
+    if (const std::string* name = tenant_of_(job)) {
+      auto it = tenants_.find(*name);
+      if (it == tenants_.end()) {
+        it = tenants_
+                 .emplace(*name, resolve_job_series(registry_.group(
+                                     {{"policy", policy_}, {"tenant", *name}})))
+                 .first;
+      }
+      tenant = &it->second;
+    }
+  }
+  if (job.v >= job_tenant_.size()) job_tenant_.resize(job.v + 1, nullptr);
+  job_tenant_[job.v] = tenant;
+  if (tenant != nullptr) tenant->jobs_submitted->inc();
 }
 
 void EngineMetrics::on_job_finished(const Engine& engine, JobId job) {
-  policy_group_.counter("jobs_finished").inc();
+  series_.jobs_finished->inc();
   const double jct = engine.sim().now() - engine.graph(job).submit_time();
-  policy_group_.histogram("jct_seconds", default_duration_bounds())
-      .observe(jct);
-  if (MetricGroup* g = tenant_group(job)) {
-    g->counter("jobs_finished").inc();
-    g->histogram("jct_seconds", default_duration_bounds()).observe(jct);
+  series_.jct->observe(jct);
+  if (const JobSeries* t = tenant_series(job)) {
+    t->jobs_finished->inc();
+    t->jct->observe(jct);
   }
 }
 
 void EngineMetrics::on_stage_submitted(const Engine&, StageId) {
-  policy_group_.counter("stages_submitted").inc();
+  stages_submitted_->inc();
 }
 
 void EngineMetrics::on_stage_finished(const Engine&, StageId) {
-  policy_group_.counter("stages_finished").inc();
+  stages_finished_->inc();
 }
 
 void EngineMetrics::on_task_started(const Engine& engine, TaskId task,
-                                    SlotId) {
-  policy_group_.counter("tasks_started").inc();
-  started_at_[task] = engine.sim().now();
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_started").inc();
+                                    SlotId slot) {
+  series_.tasks_started->inc();
+  running_.start(slot, task, engine.sim().now());
+  if (const JobSeries* t = tenant_series(task.stage.job)) {
+    t->tasks_started->inc();
   }
 }
 
 void EngineMetrics::on_task_finished(const Engine& engine, TaskId task,
-                                     SlotId) {
-  policy_group_.counter("tasks_finished").inc();
-  auto it = started_at_.find(task);
-  if (it != started_at_.end()) {
-    const double duration = engine.sim().now() - it->second;
-    policy_group_.histogram("task_duration_seconds", default_duration_bounds())
-        .observe(duration);
-    if (MetricGroup* g = tenant_group(task.stage.job)) {
-      g->histogram("task_duration_seconds", default_duration_bounds())
-          .observe(duration);
-    }
-    started_at_.erase(it);
+                                     SlotId slot) {
+  series_.tasks_finished->inc();
+  const JobSeries* t = tenant_series(task.stage.job);
+  if (const std::optional<SimTime> start = running_.end(slot, task)) {
+    const double duration = engine.sim().now() - *start;
+    series_.task_duration->observe(duration);
+    if (t != nullptr) t->task_duration->observe(duration);
   }
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_finished").inc();
+  if (t != nullptr) t->tasks_finished->inc();
+}
+
+void EngineMetrics::on_task_killed(const Engine&, TaskId task, SlotId slot) {
+  series_.tasks_killed->inc();
+  running_.end(slot, task);
+  if (const JobSeries* t = tenant_series(task.stage.job)) {
+    t->tasks_killed->inc();
   }
 }
 
-void EngineMetrics::on_task_killed(const Engine&, TaskId task, SlotId) {
-  policy_group_.counter("tasks_killed").inc();
-  started_at_.erase(task);
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_killed").inc();
-  }
-}
-
-void EngineMetrics::on_task_failed(const Engine&, TaskId task, SlotId) {
-  policy_group_.counter("tasks_failed").inc();
-  started_at_.erase(task);
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_failed").inc();
+void EngineMetrics::on_task_failed(const Engine&, TaskId task, SlotId slot) {
+  series_.tasks_failed->inc();
+  running_.end(slot, task);
+  if (const JobSeries* t = tenant_series(task.stage.job)) {
+    t->tasks_failed->inc();
   }
 }
 
 void EngineMetrics::on_task_requeued(const Engine&, TaskId task) {
-  policy_group_.counter("tasks_requeued").inc();
-  if (MetricGroup* g = tenant_group(task.stage.job)) {
-    g->counter("tasks_requeued").inc();
+  series_.tasks_requeued->inc();
+  if (const JobSeries* t = tenant_series(task.stage.job)) {
+    t->tasks_requeued->inc();
   }
 }
 
 void EngineMetrics::on_stage_invalidated(const Engine&, StageId) {
-  policy_group_.counter("stages_invalidated").inc();
+  stages_invalidated_->inc();
 }
 
 void EngineMetrics::on_slot_failed(const Engine&, SlotId) {
-  policy_group_.counter("slots_failed").inc();
+  slots_failed_->inc();
 }
 
 void EngineMetrics::on_slot_recovered(const Engine&, SlotId) {
-  policy_group_.counter("slots_recovered").inc();
+  slots_recovered_->inc();
 }
 
 void EngineMetrics::on_slot_reserved(const Engine&, SlotId,
                                      const Reservation&) {
-  policy_group_.counter("reservations_made").inc();
+  reservations_made_->inc();
 }
 
 void EngineMetrics::on_reservation_released(const Engine&, SlotId,
                                             ReservationEndReason reason) {
   switch (reason) {
     case ReservationEndReason::Expired:
-      policy_group_.counter("reservations_expired").inc();
+      reservations_expired_->inc();
       break;
     case ReservationEndReason::Released:
-      policy_group_.counter("reservations_released").inc();
+      reservations_released_->inc();
       break;
     case ReservationEndReason::SlotFailed:
-      policy_group_.counter("reservations_broken").inc();
+      reservations_broken_->inc();
       break;
   }
 }
 
 void EngineMetrics::on_run_complete(const Engine& engine) {
-  policy_group_.gauge("makespan_seconds").set(engine.sim().now());
-  policy_group_.gauge("utilization")
-      .set(engine.cluster().utilization(engine.sim().now()));
+  makespan_->set(engine.sim().now());
+  utilization_->set(engine.cluster().utilization(engine.sim().now()));
 }
 
 void record_recovery(MetricsRegistry& registry, const RecoveryStats& stats,

@@ -17,6 +17,7 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "ssr/common/ids.h"
 #include "ssr/common/time.h"
@@ -34,12 +35,14 @@ std::vector<double> default_duration_bounds();
 class EngineMetrics : public EngineObserver {
  public:
   /// Series are created eagerly (so an empty run still exports a complete,
-  /// all-zero document) under the {policy=`policy`} label group.
+  /// all-zero document) under the {policy=`policy`} label group, and the
+  /// observer keeps handles to them: callbacks do no registry lookups.
   EngineMetrics(MetricsRegistry& registry, std::string policy);
 
-  /// Resolve an admitted job to its tenant; nullptr = unmetered.  Install
-  /// before the engine starts stepping (VirtualClusterManager::tenant_of is
-  /// the canonical resolver).
+  /// Resolve an admitted job to its tenant; nullptr = unmetered.  Called
+  /// once per job, at on_job_submitted, so install it before the engine
+  /// starts stepping (VirtualClusterManager::tenant_of is the canonical
+  /// resolver; it records the tenant before the job's arrival fires).
   void set_tenant_resolver(
       std::function<const std::string*(JobId)> resolver) {
     tenant_of_ = std::move(resolver);
@@ -65,17 +68,48 @@ class EngineMetrics : public EngineObserver {
   void on_run_complete(const Engine& engine) override;
 
  private:
-  /// {policy, tenant} group for `job`, or nullptr when unresolvable.
-  MetricGroup* tenant_group(JobId job);
+  /// Handles into one label group's job- and task-level series.
+  struct JobSeries {
+    Counter* jobs_submitted = nullptr;
+    Counter* jobs_finished = nullptr;
+    Counter* tasks_started = nullptr;
+    Counter* tasks_finished = nullptr;
+    Counter* tasks_killed = nullptr;
+    Counter* tasks_failed = nullptr;
+    Counter* tasks_requeued = nullptr;
+    Histogram* task_duration = nullptr;
+    Histogram* jct = nullptr;
+  };
+  static JobSeries resolve_job_series(MetricGroup group);
+
+  /// Tenant series of `job` (resolved at its submission), or nullptr.
+  const JobSeries* tenant_series(JobId job) const {
+    return job.v < job_tenant_.size() ? job_tenant_[job.v] : nullptr;
+  }
 
   MetricsRegistry& registry_;
   std::string policy_;
-  MetricGroup policy_group_;
+  // Every policy series is resolved once, at construction.
+  JobSeries series_;
+  Counter* stages_submitted_ = nullptr;
+  Counter* stages_finished_ = nullptr;
+  Counter* stages_invalidated_ = nullptr;
+  Counter* slots_failed_ = nullptr;
+  Counter* slots_recovered_ = nullptr;
+  Counter* reservations_made_ = nullptr;
+  Counter* reservations_expired_ = nullptr;
+  Counter* reservations_released_ = nullptr;
+  Counter* reservations_broken_ = nullptr;
+  Gauge* makespan_ = nullptr;
+  Gauge* utilization_ = nullptr;
+
   std::function<const std::string*(JobId)> tenant_of_;
-  /// Tenant label groups are materialized lazily, one per tenant name.
-  std::unordered_map<std::string, MetricGroup> tenant_groups_;
-  /// Start times of in-flight attempts (task-duration histogram).
-  std::unordered_map<TaskId, SimTime> started_at_;
+  /// {policy, tenant} series, resolved when a tenant's first job arrives.
+  std::unordered_map<std::string, JobSeries> tenants_;
+  /// Indexed by JobId (dense); nullptr = unmetered.
+  std::vector<const JobSeries*> job_tenant_;
+  /// In-flight attempts (task-duration histogram).
+  RunningAttempts running_;
 };
 
 /// Snapshot the fault-injection outcome counters under {policy=`policy`}.

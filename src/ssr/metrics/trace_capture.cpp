@@ -2,7 +2,7 @@
 
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "ssr/common/check.h"
@@ -14,8 +14,11 @@ namespace {
 constexpr char kMagic[8] = {'S', 'S', 'R', 'T', 'R', 'A', 'C', 'E'};
 constexpr std::size_t kMagicSize = sizeof(kMagic);
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
+
+/// FNV-1a 64 over `bytes`, continuing from `h` (so a body written in pieces
+/// hashes like the concatenation).
+std::uint64_t fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset) {
   for (char c : bytes) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
@@ -30,15 +33,15 @@ void put_u8(std::string& out, std::uint8_t v) {
 }
 
 void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char b[4];
+  for (int i = 0; i < 4; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  out.append(b, sizeof(b));
 }
 
 void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
+  char b[8];
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  out.append(b, sizeof(b));
 }
 
 void put_i32(std::string& out, std::int32_t v) {
@@ -52,7 +55,7 @@ void put_f64(std::string& out, double v) {
   put_u64(out, bits);
 }
 
-void put_str(std::string& out, const std::string& s) {
+void put_str(std::string& out, std::string_view s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out.append(s);
 }
@@ -67,7 +70,7 @@ void put_task(std::string& out, TaskId task) {
 // --- Bounds-checked reader ---------------------------------------------------
 
 struct Cursor {
-  const std::string& buf;
+  std::string_view buf;
   std::size_t pos = 0;
 
   void need(std::size_t n) const {
@@ -107,7 +110,7 @@ struct Cursor {
   std::string str() {
     const std::uint32_t n = u32();
     need(n);
-    std::string s = buf.substr(pos, n);
+    std::string s(buf.substr(pos, n));
     pos += n;
     return s;
   }
@@ -135,204 +138,147 @@ TraceRecorder::TraceRecorder(std::uint32_t num_nodes, std::uint32_t num_slots,
   header_.counts_expired = counts_expired;
 }
 
-TraceEvent& TraceRecorder::push(const Engine& engine, TraceEventKind kind) {
-  events_.emplace_back();
-  TraceEvent& e = events_.back();
-  e.kind = kind;
-  e.time = engine.sim().now();
-  return e;
+void TraceRecorder::begin(const Engine& engine, TraceEventKind kind) {
+  ++num_events_;
+  put_u8(events_, static_cast<std::uint8_t>(kind));
+  put_f64(events_, engine.sim().now());
 }
 
 void TraceRecorder::on_job_submitted(const Engine& engine, JobId job) {
-  TraceEvent& e = push(engine, TraceEventKind::kJobSubmitted);
-  e.job = job;
-  e.job_name = engine.job_name(job);
-  e.priority = engine.graph(job).priority();
-  if (tenant_of_) {
-    const std::string* tenant = tenant_of_(job);
-    if (tenant != nullptr) e.tenant = *tenant;
-  }
+  begin(engine, TraceEventKind::kJobSubmitted);
+  put_u32(events_, job.v);
+  put_i32(events_, engine.graph(job).priority());
+  put_str(events_, engine.job_name(job));
+  const std::string* tenant = tenant_of_ ? tenant_of_(job) : nullptr;
+  put_str(events_, tenant != nullptr ? std::string_view(*tenant)
+                                     : std::string_view());
 }
 
 void TraceRecorder::on_job_finished(const Engine& engine, JobId job) {
-  push(engine, TraceEventKind::kJobFinished).job = job;
+  begin(engine, TraceEventKind::kJobFinished);
+  put_u32(events_, job.v);
 }
 
 void TraceRecorder::on_stage_submitted(const Engine& engine, StageId stage) {
-  TraceEvent& e = push(engine, TraceEventKind::kStageSubmitted);
-  e.stage = stage;
-  e.parents = engine.graph(stage.job).stage(stage.index).parents;
+  begin(engine, TraceEventKind::kStageSubmitted);
+  put_u32(events_, stage.job.v);
+  put_u32(events_, stage.index);
+  const std::vector<std::uint32_t>& parents =
+      engine.graph(stage.job).stage(stage.index).parents;
+  put_u32(events_, static_cast<std::uint32_t>(parents.size()));
+  for (std::uint32_t p : parents) put_u32(events_, p);
 }
 
 void TraceRecorder::on_stage_finished(const Engine& engine, StageId stage) {
-  push(engine, TraceEventKind::kStageFinished).stage = stage;
+  begin(engine, TraceEventKind::kStageFinished);
+  put_u32(events_, stage.job.v);
+  put_u32(events_, stage.index);
 }
 
 void TraceRecorder::on_task_started(const Engine& engine, TaskId task,
                                     SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskStarted);
-  e.task = task;
-  e.slot = slot;
+  begin(engine, TraceEventKind::kTaskStarted);
+  put_task(events_, task);
+  put_u32(events_, slot.v);
   // Same locality rule as TaskStatsCollector::on_task_started, captured so
   // a replay reproduces local_starts without a StageRuntime.
   const StageRuntime* rt = engine.stage_runtime(task.stage);
-  if (rt != nullptr && task.attempt == 0 && task.index < rt->parallelism() &&
-      rt->original(task.index).local) {
-    e.local = true;
-  }
+  const bool local = rt != nullptr && task.attempt == 0 &&
+                     task.index < rt->parallelism() &&
+                     rt->original(task.index).local;
+  put_u8(events_, local ? 1 : 0);
 }
 
 void TraceRecorder::on_task_finished(const Engine& engine, TaskId task,
                                      SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskFinished);
-  e.task = task;
-  e.slot = slot;
+  begin(engine, TraceEventKind::kTaskFinished);
+  put_task(events_, task);
+  put_u32(events_, slot.v);
 }
 
 void TraceRecorder::on_task_killed(const Engine& engine, TaskId task,
                                    SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskKilled);
-  e.task = task;
-  e.slot = slot;
+  begin(engine, TraceEventKind::kTaskKilled);
+  put_task(events_, task);
+  put_u32(events_, slot.v);
 }
 
 void TraceRecorder::on_task_failed(const Engine& engine, TaskId task,
                                    SlotId slot) {
-  TraceEvent& e = push(engine, TraceEventKind::kTaskFailed);
-  e.task = task;
-  e.slot = slot;
+  begin(engine, TraceEventKind::kTaskFailed);
+  put_task(events_, task);
+  put_u32(events_, slot.v);
 }
 
 void TraceRecorder::on_task_requeued(const Engine& engine, TaskId task) {
-  push(engine, TraceEventKind::kTaskRequeued).task = task;
+  begin(engine, TraceEventKind::kTaskRequeued);
+  put_task(events_, task);
 }
 
 void TraceRecorder::on_stage_invalidated(const Engine& engine, StageId stage) {
-  push(engine, TraceEventKind::kStageInvalidated).stage = stage;
+  begin(engine, TraceEventKind::kStageInvalidated);
+  put_u32(events_, stage.job.v);
+  put_u32(events_, stage.index);
 }
 
 void TraceRecorder::on_slot_failed(const Engine& engine, SlotId slot) {
-  push(engine, TraceEventKind::kSlotFailed).slot = slot;
+  begin(engine, TraceEventKind::kSlotFailed);
+  put_u32(events_, slot.v);
 }
 
 void TraceRecorder::on_slot_recovered(const Engine& engine, SlotId slot) {
-  push(engine, TraceEventKind::kSlotRecovered).slot = slot;
+  begin(engine, TraceEventKind::kSlotRecovered);
+  put_u32(events_, slot.v);
 }
 
 void TraceRecorder::on_slot_reserved(const Engine& engine, SlotId slot,
                                      const Reservation& reservation) {
-  TraceEvent& e = push(engine, TraceEventKind::kSlotReserved);
-  e.slot = slot;
-  e.job = reservation.job;
-  e.priority = reservation.priority;
-  e.deadline = reservation.deadline;
-  e.for_stage = reservation.for_stage;
-  e.token = reservation.token;
+  begin(engine, TraceEventKind::kSlotReserved);
+  put_u32(events_, slot.v);
+  put_u32(events_, reservation.job.v);
+  put_i32(events_, reservation.priority);
+  put_f64(events_, reservation.deadline);
+  put_u32(events_, reservation.for_stage.job.v);
+  put_u32(events_, reservation.for_stage.index);
+  put_u64(events_, reservation.token);
 }
 
 void TraceRecorder::on_reservation_released(const Engine& engine, SlotId slot,
                                             ReservationEndReason reason) {
-  TraceEvent& e = push(engine, TraceEventKind::kReservationReleased);
-  e.slot = slot;
-  e.reason = reason;
+  begin(engine, TraceEventKind::kReservationReleased);
+  put_u32(events_, slot.v);
+  put_u8(events_, static_cast<std::uint8_t>(reason));
 }
 
 void TraceRecorder::on_run_complete(const Engine& engine) {
-  push(engine, TraceEventKind::kRunComplete);
-}
-
-// --- Serialization -----------------------------------------------------------
-
-std::string serialize_trace(const TraceHeader& header,
-                            const std::vector<TraceEvent>& events) {
-  std::string body;
-  body.reserve(64 + events.size() * 32);
-  put_u32(body, header.version);
-  put_u32(body, header.num_nodes);
-  put_u32(body, header.num_slots);
-  put_u64(body, header.seed);
-  put_u8(body, header.counts_expired ? 1 : 0);
-  put_u64(body, header.suspicions);
-  put_u64(body, header.false_suspicions);
-  put_str(body, header.policy);
-  put_u64(body, events.size());
-  for (const TraceEvent& e : events) {
-    put_u8(body, static_cast<std::uint8_t>(e.kind));
-    put_f64(body, e.time);
-    switch (e.kind) {
-      case TraceEventKind::kJobSubmitted:
-        put_u32(body, e.job.v);
-        put_i32(body, e.priority);
-        put_str(body, e.job_name);
-        put_str(body, e.tenant);
-        break;
-      case TraceEventKind::kJobFinished:
-        put_u32(body, e.job.v);
-        break;
-      case TraceEventKind::kStageSubmitted:
-        put_u32(body, e.stage.job.v);
-        put_u32(body, e.stage.index);
-        put_u32(body, static_cast<std::uint32_t>(e.parents.size()));
-        for (std::uint32_t p : e.parents) put_u32(body, p);
-        break;
-      case TraceEventKind::kStageFinished:
-      case TraceEventKind::kStageInvalidated:
-        put_u32(body, e.stage.job.v);
-        put_u32(body, e.stage.index);
-        break;
-      case TraceEventKind::kTaskStarted:
-        put_task(body, e.task);
-        put_u32(body, e.slot.v);
-        put_u8(body, e.local ? 1 : 0);
-        break;
-      case TraceEventKind::kTaskFinished:
-      case TraceEventKind::kTaskKilled:
-      case TraceEventKind::kTaskFailed:
-        put_task(body, e.task);
-        put_u32(body, e.slot.v);
-        break;
-      case TraceEventKind::kTaskRequeued:
-        put_task(body, e.task);
-        break;
-      case TraceEventKind::kSlotFailed:
-      case TraceEventKind::kSlotRecovered:
-        put_u32(body, e.slot.v);
-        break;
-      case TraceEventKind::kSlotReserved:
-        put_u32(body, e.slot.v);
-        put_u32(body, e.job.v);
-        put_i32(body, e.priority);
-        put_f64(body, e.deadline);
-        put_u32(body, e.for_stage.job.v);
-        put_u32(body, e.for_stage.index);
-        put_u64(body, e.token);
-        break;
-      case TraceEventKind::kReservationReleased:
-        put_u32(body, e.slot.v);
-        put_u8(body, static_cast<std::uint8_t>(e.reason));
-        break;
-      case TraceEventKind::kRunComplete:
-        break;
-    }
-  }
-  std::string out;
-  out.reserve(kMagicSize + body.size() + 8);
-  out.append(kMagic, kMagicSize);
-  out.append(body);
-  put_u64(out, fnv1a(body));
-  return out;
-}
-
-std::string TraceRecorder::serialize() const {
-  return serialize_trace(header_, events_);
+  begin(engine, TraceEventKind::kRunComplete);
 }
 
 void TraceRecorder::write_file(const std::string& path) const {
+  // The body is version | header | event count | events; only the small
+  // prefix is built here, the events are written from the record buffer.
+  std::string prefix;
+  put_u32(prefix, header_.version);
+  put_u32(prefix, header_.num_nodes);
+  put_u32(prefix, header_.num_slots);
+  put_u64(prefix, header_.seed);
+  put_u8(prefix, header_.counts_expired ? 1 : 0);
+  put_u64(prefix, header_.suspicions);
+  put_u64(prefix, header_.false_suspicions);
+  put_str(prefix, header_.policy);
+  put_u64(prefix, num_events_);
+  std::string checksum;
+  put_u64(checksum, fnv1a(events_, fnv1a(prefix)));
+
   std::ofstream out(path, std::ios::binary);
   SSR_CHECK_MSG(out.good(), "cannot open trace file " << path
                                                       << " for writing");
-  const std::string bytes = serialize();
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.write(kMagic, kMagicSize);
+  for (std::string_view part : {std::string_view(prefix),
+                                std::string_view(events_),
+                                std::string_view(checksum)}) {
+    out.write(part.data(), static_cast<std::streamsize>(part.size()));
+  }
   SSR_CHECK_MSG(out.good(), "short write to trace file " << path);
 }
 
@@ -345,8 +291,8 @@ TraceReplayer TraceReplayer::from_bytes(const std::string& bytes) {
                                        "trace");
   SSR_CHECK_MSG(std::memcmp(bytes.data(), kMagic, kMagicSize) == 0,
                 "not an SSR trace (bad magic)");
-  const std::string body =
-      bytes.substr(kMagicSize, bytes.size() - kMagicSize - 8);
+  const std::string_view body = std::string_view(bytes).substr(
+      kMagicSize, bytes.size() - kMagicSize - 8);
   Cursor tail{bytes, bytes.size() - 8};
   const std::uint64_t stored = tail.u64();
   // Version is validated before the checksum so a reader that is simply too
@@ -371,7 +317,7 @@ TraceReplayer TraceReplayer::from_bytes(const std::string& bytes) {
   const std::uint64_t count = cur.u64();
   replayer.events_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    TraceEvent e;
+    TraceEvent& e = replayer.events_.emplace_back();
     const std::uint8_t kind = cur.u8();
     SSR_CHECK_MSG(
         kind >= static_cast<std::uint8_t>(TraceEventKind::kJobSubmitted) &&
@@ -443,7 +389,6 @@ TraceReplayer TraceReplayer::from_bytes(const std::string& bytes) {
       case TraceEventKind::kRunComplete:
         break;
     }
-    replayer.events_.push_back(std::move(e));
   }
   SSR_CHECK_MSG(cur.pos == body.size(),
                 "trace has " << body.size() - cur.pos
@@ -452,11 +397,15 @@ TraceReplayer TraceReplayer::from_bytes(const std::string& bytes) {
 }
 
 TraceReplayer TraceReplayer::from_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   SSR_CHECK_MSG(in.good(), "cannot open trace file " << path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return from_bytes(buf.str());
+  const std::streamoff size = in.tellg();
+  SSR_CHECK_MSG(size >= 0, "cannot read trace file " << path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), size);
+  SSR_CHECK_MSG(in.gcount() == size, "cannot read trace file " << path);
+  return from_bytes(bytes);
 }
 
 void TraceReplayer::replay(const std::vector<TraceConsumer*>& consumers) const {

@@ -1,15 +1,21 @@
 // Replayable capture of the engine's observer event stream.
 //
-// TraceRecorder is an EngineObserver that snapshots every callback of the
-// audit seam (sched/types.h) into a self-contained TraceEvent record: each
-// event carries the derived context a consumer would otherwise pull from the
-// live Engine — the submitting job's name/priority/tenant, the data-locality
-// flag of a starting attempt, the full Reservation of a reserve, a stage's
-// parent list.  The capture can therefore re-drive every consumer-side chain
-// (metric collectors, the SlotLedger invariant auditor, the Chrome-trace
-// exporter, the RunResult/digest pipeline) from file, with no Engine and no
+// TraceRecorder is an EngineObserver that records every callback of the
+// audit seam (sched/types.h) together with the derived context a consumer
+// would otherwise pull from the live Engine — the submitting job's
+// name/priority/tenant, the data-locality flag of a starting attempt, the
+// full Reservation of a reserve, a stage's parent list.  The capture can
+// therefore re-drive every consumer-side chain (metric collectors, the
+// SlotLedger invariant auditor, the Chrome-trace exporter, the
+// RunResult/digest pipeline) from file, with no Engine and no
 // re-simulation — see exp/trace_replay.h for the bit-identical RunResult
 // reconstruction this enables.
+//
+// The recorder holds no event objects: each callback appends its record,
+// already in the on-disk encoding below, to one byte buffer (about 29 bytes
+// per event on the fig15-scale runs), and write_file() emits magic, header,
+// that buffer and the checksum.  The reader loads the file into one buffer
+// and validates and decodes it in place into TraceEvents.
 //
 // The on-disk format (ssr-trace v1) is a compact little-endian binary:
 //
@@ -66,6 +72,7 @@ enum class TraceEventKind : std::uint8_t {
   kRunComplete = 15,
 };
 
+/// A decoded event record (TraceReplayer's representation).
 struct TraceEvent {
   TraceEventKind kind = TraceEventKind::kRunComplete;
   SimTime time = 0.0;
@@ -166,21 +173,23 @@ class TraceRecorder : public EngineObserver {
   void on_run_complete(const Engine& engine) override;
 
   const TraceHeader& header() const { return header_; }
-  const std::vector<TraceEvent>& events() const { return events_; }
 
-  /// Full file image (magic + body + checksum).
-  std::string serialize() const;
+  /// Writes magic, header, the recorded events and the checksum.
   void write_file(const std::string& path) const;
 
  private:
-  TraceEvent& push(const Engine& engine, TraceEventKind kind);
+  /// Starts an event record: kind and timestamp.
+  void begin(const Engine& engine, TraceEventKind kind);
 
   TraceHeader header_;
   std::function<const std::string*(JobId)> tenant_of_;
-  std::vector<TraceEvent> events_;
+  /// The events recorded so far, already in their on-disk encoding.
+  std::string events_;
+  std::uint64_t num_events_ = 0;
 };
 
-/// Parses a capture eagerly (validating as it goes) and re-drives consumers.
+/// Parses a capture eagerly (validating as it goes) into TraceEvents and
+/// re-drives consumers.
 class TraceReplayer {
  public:
   /// Both throw CheckError on unreadable, corrupt, truncated or
@@ -202,10 +211,6 @@ class TraceReplayer {
   TraceHeader header_;
   std::vector<TraceEvent> events_;
 };
-
-/// Serialize just the events (testing seam; serialize() wraps this).
-std::string serialize_trace(const TraceHeader& header,
-                            const std::vector<TraceEvent>& events);
 
 /// Rebuilds a Chrome-trace export from a capture: attempts reconstructed
 /// from start/finish/kill events, job submit/finish instants, per-tenant
