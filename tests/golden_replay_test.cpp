@@ -90,5 +90,22 @@ TEST(GoldenReplay, FailureRecoveryShapedScenario) {
   compare_golden(s.file, digest);
 }
 
+// The only golden under SchedulingPolicy::Fair: failures must resurrect
+// finished tasks and re-open completed stages, so the offer order's
+// fair-share keys are exercised across stage re-activation.
+TEST(GoldenReplay, FairShareFailureScenario) {
+  const GoldenScenario s = fair_failure_scenario();
+  std::vector<RunResult> results;
+  const std::string digest = closed_digest(s, &results);
+
+  ASSERT_EQ(results.size(), 1u);
+  const RunResult& run = results.front();
+  EXPECT_GT(run.recovery.tasks_failed, 0u);
+  EXPECT_GT(run.recovery.tasks_requeued, 0u);
+  EXPECT_GT(run.recovery.stages_invalidated, 0u);
+
+  compare_golden(s.file, digest);
+}
+
 }  // namespace
 }  // namespace ssr

@@ -193,6 +193,48 @@ inline GoldenScenario zoo_policy_scenario(ZooPolicy policy) {
   return s;
 }
 
+// Fair-share failure shape: the failure-recovery scenario's cluster and
+// fault schedule under SchedulingPolicy::Fair, with unequal job weights (so
+// fair shares differ in their low-order bits) and a locality wait (so
+// delay-scheduling retry timers are in play).  Node failures resurrect
+// finished producer tasks, re-activating stages whose task sets had been
+// fully placed — the offer order must re-admit them under the live fair
+// share of their job.
+inline GoldenScenario fair_failure_scenario() {
+  GoldenScenario s{.name = "fair_failure",
+                   .file = "fair_failure.golden",
+                   .cluster = {.nodes = 10, .slots_per_node = 2}};
+  TraceGenConfig bg;
+  bg.num_jobs = 8;
+  bg.window = 300.0;
+  bg.seed = 4001;
+
+  RunOptions o;
+  o.seed = 3;
+  o.sched.policy = SchedulingPolicy::Fair;
+  o.sched.locality_wait = 3.0;
+  o.sched.locality_slowdown = 3.0;
+  o.ssr = SsrConfig{};
+  o.ssr->min_reserving_priority = 1;
+  o.ssr->enable_straggler_mitigation = true;
+  o.failures.events.push_back(
+      FailureEvent{FailureEvent::Scope::Node, 1, 90.0, 130.0});
+  o.failures.events.push_back(
+      FailureEvent{FailureEvent::Scope::Node, 6, 120.0, 150.0});
+  o.failures.events.push_back(
+      FailureEvent{FailureEvent::Scope::Node, 3, 150.0, kTimeInfinity});
+
+  std::vector<JobSpec> jobs = make_background_jobs(bg);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].fair_weight = 1.0 + static_cast<double>(i % 3) * 0.5;
+  }
+  JobSpec fg = make_kmeans(12, 10, bg.window * 0.25);
+  fg.fair_weight = 3.0;
+  jobs.push_back(std::move(fg));
+  s.passes.push_back({"fair_failure/ssr+mitigation", o, std::move(jobs)});
+  return s;
+}
+
 inline std::vector<GoldenScenario> golden_scenarios() {
   std::vector<GoldenScenario> all;
   all.push_back(fig12_scenario());
@@ -202,6 +244,7 @@ inline std::vector<GoldenScenario> golden_scenarios() {
   for (ZooPolicy policy : all_zoo_policies()) {
     all.push_back(zoo_policy_scenario(policy));
   }
+  all.push_back(fair_failure_scenario());
   return all;
 }
 
