@@ -8,6 +8,9 @@ namespace ssr {
 
 JobGraph::JobGraph(JobId id, JobSpec spec) : id_(id), spec_(std::move(spec)) {
   SSR_CHECK_MSG(!spec_.stages.empty(), "job must have at least one stage");
+  // A non-positive or NaN weight would make the fair share NaN, and the
+  // engine's offer index needs shares that order totally.
+  SSR_CHECK_MSG(spec_.fair_weight > 0.0, "fair weight must be positive");
   const auto n = static_cast<std::uint32_t>(spec_.stages.size());
   children_.resize(n);
   for (std::uint32_t i = 0; i < n; ++i) {

@@ -11,6 +11,7 @@ StageRuntime::StageRuntime(StageId id, const StageSpec& spec,
     : id_(id),
       spec_(&spec),
       submitted_at_(submitted_at),
+      done_(spec.num_tasks, 0),
       last_local_launch_(submitted_at) {
   SSR_CHECK_MSG(durations.size() == spec.num_tasks,
                 "one duration per task required");
@@ -115,7 +116,8 @@ void StageRuntime::resurrect(std::uint32_t task_index) {
   original.slot = SlotId{};
   original.local = false;
   ++original.epoch;
-  if (done_.erase(task_index) > 0) {
+  if (done_[task_index] != 0) {
+    done_[task_index] = 0;
     SSR_CHECK(finished_ > 0);
     --finished_;
   }
@@ -140,9 +142,9 @@ void StageRuntime::mark_finished(TaskAttempt& attempt, SimTime now) {
   attempt.state = AttemptState::Finished;
   attempt.finish_time = now;
   if (attempt.id.attempt == 0) --running_originals_;
-  const bool first_completion_of_task = !done_.contains(attempt.id.index);
+  const bool first_completion_of_task = done_[attempt.id.index] == 0;
   if (first_completion_of_task) {
-    done_.insert(attempt.id.index);
+    done_[attempt.id.index] = 1;
     ++finished_;
     if (!first_finish_duration_) {
       first_finish_duration_ = now - attempt.start_time;

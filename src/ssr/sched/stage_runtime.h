@@ -123,7 +123,7 @@ class StageRuntime {
 
   /// True if the logical task (any attempt) has already finished.
   bool task_done(std::uint32_t task_index) const {
-    return done_.contains(task_index);
+    return task_index < done_.size() && done_[task_index] != 0;
   }
 
   // --- Delay scheduling ----------------------------------------------------
@@ -165,7 +165,9 @@ class StageRuntime {
   std::vector<TaskAttempt> originals_;
   std::deque<TaskAttempt> copies_;  // deque: stable references on growth
   std::deque<std::uint32_t> pending_;
-  std::unordered_set<std::uint32_t> done_;
+  /// Per task index: 1 once some attempt of the task finished.  Task
+  /// indices are dense, so a flag vector replaces a hashed set.
+  std::vector<std::uint8_t> done_;
 
   std::uint32_t finished_ = 0;
   std::uint32_t running_originals_ = 0;

@@ -3,6 +3,9 @@
 // behavior the paper's Sec. II characterizes.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ssr/common/check.h"
@@ -268,6 +271,161 @@ TEST(Engine, TaskStatsCountLocality) {
   EXPECT_EQ(s.tasks_finished, 4u);
   EXPECT_EQ(s.tasks_killed, 0u);
   EXPECT_EQ(s.local_starts, 4u);  // root stage counts as local
+}
+
+// --- Offer order --------------------------------------------------------------
+//
+// A freed slot goes to the policy-first task set that accepts it, whatever
+// order the task sets became active in; delay-scheduling rejections arm the
+// retry timers the submission-ordered scan armed (DESIGN.md §8).
+
+TEST(EngineOfferOrder, HigherPriorityStageActivatedLaterWinsFreedSlot) {
+  Engine engine(quick_sched(), 1, 1, 1);
+  engine.submit(JobBuilder("blocker").stage(1, fixed_duration(10.0)).build());
+  const JobId lo = engine.submit(
+      JobBuilder("lo").submit_at(1.0).stage(1, fixed_duration(5.0)).build());
+  const JobId mid = engine.submit(JobBuilder("mid")
+                                      .priority(1)
+                                      .submit_at(2.0)
+                                      .stage(1, fixed_duration(5.0))
+                                      .build());
+  const JobId hi = engine.submit(JobBuilder("hi")
+                                     .priority(5)
+                                     .submit_at(3.0)
+                                     .stage(1, fixed_duration(5.0))
+                                     .build());
+  engine.advance_to(9.0);
+  EXPECT_EQ(engine.active_stage_count(), 3u);  // all three wait for the slot
+  engine.run();
+  EXPECT_DOUBLE_EQ(engine.job_finish_time(hi), 15.0);
+  EXPECT_DOUBLE_EQ(engine.job_finish_time(mid), 20.0);
+  EXPECT_DOUBLE_EQ(engine.job_finish_time(lo), 25.0);
+  EXPECT_EQ(engine.active_stage_count(), 0u);
+}
+
+/// Locality-wait fixture on one node with slots s0 (cap 1), s1 (cap 2) and
+/// s2 (cap 1).  Job "h" (priority 5) runs a 1 s map on s0, then a 4-task
+/// reduce that prefers s0: the reduce's first task starts on s0 at t=1, its
+/// wait expires unused at t=4, and its second task starts locally on s0 at
+/// t=11 — restarting the wait until t=14 with no retry timer armed.  Job
+/// "lo" (priority 0) holds s1 and s2 and frees s1 at t=12.  An optional
+/// job "v" (priority 9) arriving at `v_at` needs a cap-2 slot, so it can
+/// only take s1.
+struct LocalityWaitFixture {
+  explicit LocalityWaitFixture(std::optional<SimTime> v_at)
+      : engine(quick_sched(),
+               {{Resources{1.0, 1.0}, Resources{2.0, 2.0}, Resources{1.0, 1.0}}},
+               1) {
+    h = engine.submit(JobBuilder("h")
+                          .priority(5)
+                          .stage(1, fixed_duration(1.0))
+                          .stage(4, fixed_duration(10.0))
+                          .build());
+    lo = engine.submit(JobBuilder("lo")
+                           .stage(4, fixed_duration(1.0))
+                           .explicit_durations({12.0, 20.0, 30.0, 30.0})
+                           .build());
+    if (v_at) {
+      v = engine.submit(JobBuilder("v")
+                            .priority(9)
+                            .submit_at(*v_at)
+                            .stage(1, fixed_duration(5.0))
+                            .demand(Resources{2.0, 2.0})
+                            .build());
+    }
+  }
+  const StageRuntime& reduce() const {
+    return *engine.stage_runtime(engine.graph(h).stage_id(1));
+  }
+
+  Engine engine;
+  JobId h, lo, v;
+};
+
+TEST(EngineOfferOrder, LocalityBlockedStageIsPassedOverAndArmed) {
+  LocalityWaitFixture f(std::nullopt);
+  f.engine.advance_to(11.5);
+  ASSERT_EQ(f.reduce().running_originals(), 1u);
+  ASSERT_EQ(f.reduce().pending_count(), 2u);
+  EXPECT_FALSE(f.reduce().retry_timer_armed());
+  // s1 frees at t=12: the reduce outranks "lo" but must wait for locality,
+  // so "lo" takes the slot and the reduce's rejection arms its retry.
+  f.engine.advance_to(12.0);
+  EXPECT_EQ(f.engine.running_tasks_of(f.lo), 2u);
+  EXPECT_EQ(f.reduce().pending_count(), 2u);
+  EXPECT_TRUE(f.reduce().retry_timer_armed());
+  f.engine.run();
+  EXPECT_TRUE(f.engine.job_finished(f.h));
+}
+
+TEST(EngineOfferOrder, RetryArmFollowsActivationOrderWhenOutranked) {
+  // "v" wins s1 at t=12 either way.  The reduce is armed only when "v" was
+  // activated after it: then, in activation order, the reduce was visited
+  // before any acceptor that outranks it ("lo" accepts but ranks lower).
+  for (const auto& [v_at, armed] : {std::pair{11.5, true},
+                                    std::pair{0.5, false}}) {
+    SCOPED_TRACE("v arrives at " + std::to_string(v_at));
+    LocalityWaitFixture f(v_at);
+    f.engine.advance_to(12.0);
+    EXPECT_EQ(f.engine.running_tasks_of(f.v), 1u);
+    EXPECT_EQ(f.reduce().pending_count(), 2u);
+    EXPECT_EQ(f.reduce().retry_timer_armed(), armed);
+    f.engine.run();
+    EXPECT_TRUE(f.engine.job_finished(f.h));
+  }
+}
+
+TEST(EngineOfferOrder, FairShareReKeysWhenRunningTasksRise) {
+  SchedConfig cfg = quick_sched();
+  cfg.policy = SchedulingPolicy::Fair;
+  Engine engine(cfg, 1, 2, 1);
+  engine.submit(JobBuilder("blocker")
+                    .stage(2, fixed_duration(1.0))
+                    .explicit_durations({10.0, 20.0})
+                    .build());
+  const JobId a = engine.submit(
+      JobBuilder("a").submit_at(1.0).stage(4, fixed_duration(100.0)).build());
+  const JobId b = engine.submit(
+      JobBuilder("b").submit_at(1.0).stage(4, fixed_duration(100.0)).build());
+  // t=10: both shares are 0, so the job-id tie-break hands "a" the slot.
+  engine.advance_to(10.0);
+  EXPECT_EQ(engine.running_tasks_of(a), 1u);
+  EXPECT_EQ(engine.running_tasks_of(b), 0u);
+  // t=20: "a" now holds a share of 1 and must lose to "b".
+  engine.advance_to(20.0);
+  EXPECT_EQ(engine.running_tasks_of(a), 1u);
+  EXPECT_EQ(engine.running_tasks_of(b), 1u);
+  engine.run();
+}
+
+TEST(EngineOfferOrder, StageResurrectedTwiceInOneNodeFailureIsIndexedOnce) {
+  Engine engine(quick_sched(), 2, 2, 1);
+  const JobId id = engine.submit(JobBuilder("j")
+                                     .stage(4, fixed_duration(10.0))
+                                     .stage(4, fixed_duration(100.0))
+                                     .build());
+  engine.advance_to(20.0);
+  ASSERT_EQ(engine.active_stage_count(), 0u);  // the reduce fills all slots
+  // Node 0 holds two reduce attempts and two map outputs: the failure
+  // re-queues two tasks of each stage, one slot at a time.
+  engine.fail_node(NodeId{0});
+  const StageRuntime& map = *engine.stage_runtime(engine.graph(id).stage_id(0));
+  const StageRuntime& reduce =
+      *engine.stage_runtime(engine.graph(id).stage_id(1));
+  EXPECT_EQ(map.pending_count(), 2u);
+  EXPECT_EQ(reduce.pending_count(), 2u);
+  EXPECT_EQ(engine.active_stage_count(), 2u);
+  engine.recover_node(NodeId{0});
+  engine.run();
+  EXPECT_TRUE(engine.job_finished(id));
+  EXPECT_EQ(engine.active_stage_count(), 0u);
+}
+
+TEST(EngineOfferOrder, NonPositiveFairWeightIsRejected) {
+  Engine engine(quick_sched(), 1, 1, 1);
+  JobSpec spec = JobBuilder("j").stage(1, fixed_duration(1.0)).build();
+  spec.fair_weight = 0.0;
+  EXPECT_THROW(engine.submit(std::move(spec)), CheckError);
 }
 
 }  // namespace
