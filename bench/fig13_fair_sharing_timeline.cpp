@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "ssr/common/table.h"
-#include "ssr/core/reservation_manager.h"
+#include "ssr/exp/harness.h"
 #include "ssr/exp/scenario.h"
 #include "ssr/metrics/collectors.h"
 #include "ssr/sched/engine.h"
@@ -18,13 +18,16 @@ namespace {
 using namespace ssr;
 
 void run_case(bool with_ssr, std::uint64_t seed) {
-  SchedConfig sched;
-  sched.policy = SchedulingPolicy::Fair;
-  Engine engine(sched, 8, 2, seed);  // 16 slots
-  if (with_ssr) {
-    engine.set_reservation_hook(
-        std::make_unique<ReservationManager>(SsrConfig{}));
-  }
+  RunOptions options;
+  options.sched.policy = SchedulingPolicy::Fair;
+  options.seed = seed;
+  if (with_ssr) options.ssr = SsrConfig{};
+  // Built through the shared harness so -DSSR_AUDIT=ON builds run the Fair
+  // scheduler under the invariant auditor.
+  ScenarioHarness harness(
+      ClusterSpec{.nodes = 8, .slots_per_node = 2, .node_slots = {}},
+      options);  // 16 slots
+  Engine& engine = harness.engine();
   RunningTasksSeries series;
   engine.add_observer(&series);
 

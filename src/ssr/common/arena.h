@@ -1,7 +1,7 @@
 // Chunked object arena with stable addresses.
 //
 // The engine keeps long-lived per-job and per-stage runtime records whose
-// addresses are cached all over the hot path (active-stage tables, attempt
+// addresses are cached all over the hot path (the offer index, attempt
 // back-pointers, scheduled-event captures).  A plain vector invalidates
 // addresses on growth, and vector<unique_ptr<T>> pays one allocator
 // round-trip plus one pointer indirection per record — measurable at fig15
