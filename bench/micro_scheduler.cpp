@@ -110,6 +110,46 @@ void BM_EngineThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineThroughput)->Arg(0)->Arg(1);
 
+/// Offers of idle slots that no pending stage prefers, past N delay-blocked
+/// stages.  Each of N jobs runs a one-task stage on its own slot, then a
+/// two-task child whose second task waits for that (now busy) slot: the
+/// locality wait never expires, so every offer of one of the other slots
+/// walks all N stages and each rejects it.  A reserve + release of such a
+/// slot makes two offers.  Measures the per-stage rejection cost, which a
+/// hashed preference lookup or an approval call ahead of the locality check
+/// would inflate.
+void BM_OfferPastDelayBlockedStages(benchmark::State& state) {
+  const auto blocked = static_cast<std::uint32_t>(state.range(0));
+  constexpr std::uint32_t kFreeSlots = 64;
+  SchedConfig cfg;
+  cfg.locality_wait = 1e9;
+  Engine engine(cfg, blocked + kFreeSlots, 1, 1);
+  for (std::uint32_t j = 0; j < blocked; ++j) {
+    engine.submit(JobBuilder("blocked" + std::to_string(j))
+                      .stage(1, fixed_duration(1.0))
+                      .stage(2, fixed_duration(1e6))
+                      .build());
+  }
+  engine.advance_to(2.0);
+  if (engine.active_stage_count() != blocked ||
+      engine.cluster().idle_slots().size() != kFreeSlots) {
+    state.SkipWithError("setup did not leave every child stage blocked");
+    return;
+  }
+  Reservation r;
+  r.job = JobId{0};
+  std::uint64_t offers = 0;
+  for (auto _ : state) {
+    for (std::uint32_t s = blocked; s < blocked + kFreeSlots; ++s) {
+      engine.reserve_slot(SlotId{s}, r);
+      engine.release_reservation(SlotId{s});
+    }
+    offers += 2 * kFreeSlots;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(offers));
+}
+BENCHMARK(BM_OfferPastDelayBlockedStages)->Arg(16)->Arg(256);
+
 /// Console reporter that additionally mirrors per-benchmark measurements
 /// into the shared BENCH_sched.json report.
 class CapturingReporter : public benchmark::ConsoleReporter {

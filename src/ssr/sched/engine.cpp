@@ -215,10 +215,10 @@ void Engine::submit_stage(JobId job, std::uint32_t stage_index) {
 
   // Data locality: downstream tasks prefer the slots that produced the
   // parents' outputs.
-  std::unordered_set<SlotId> preferred;
+  std::vector<SlotId> preferred;
   for (std::uint32_t p : spec.parents) {
     const std::vector<SlotId>& outs = js.output_slots[p];
-    preferred.insert(outs.begin(), outs.end());
+    preferred.insert(preferred.end(), outs.begin(), outs.end());
   }
   stage.set_preferred_slots(std::move(preferred));
 
@@ -342,21 +342,24 @@ void Engine::adjust_running_tasks(JobState& js, int delta) {
 }
 
 bool Engine::stage_accepts_slot(const StageRuntime& stage, SlotId slot) const {
-  const JobId job = stage.id().job;
+  // Delay scheduling first: it is the cheapest check and rejects most
+  // offers.  Non-preferred slots — including the job's own *pre-reserved*
+  // ones, which hold no parent data — wait out the locality wait: a
+  // guaranteed remote slot is an option to exercise once the wait expires,
+  // not a reason to pay the remote penalty early.  All three checks are
+  // side-effect free (approve() is const and pure), so their order cannot
+  // change the answer (DESIGN.md §8).
+  if (!stage.accepts_any_slot(sim_.now(), config_.locality_wait) &&
+      !stage.is_preferred(slot)) {
+    return false;
+  }
   // Resource fit (Sec. III-C): the slot's capacity must cover the stage's
   // per-task demand.  Homogeneous setups pass trivially ({1,1} in {1,1}).
   if (!stage.spec().demand.fits_in(cluster_.slot(slot).capacity())) {
     return false;
   }
-  if (!hook_->approve(*this, slot, job, state(job).graph.priority())) {
-    return false;
-  }
-  if (stage.is_preferred(slot)) return true;
-  // Non-preferred slots — including the job's own *pre-reserved* ones, which
-  // hold no parent data — are subject to delay scheduling: a guaranteed
-  // remote slot is an option to exercise once the locality wait expires, not
-  // a reason to pay the remote penalty early.
-  return stage.accepts_any_slot(sim_.now(), config_.locality_wait);
+  const JobId job = stage.id().job;
+  return hook_->approve(*this, slot, job, state(job).graph.priority());
 }
 
 void Engine::offer_slot(SlotId slot) {
@@ -507,7 +510,7 @@ void Engine::place_stage_tasks(StageRuntime& stage) {
     // snapshot time can never become acceptable mid-loop.
     const auto& own = cluster_.reserved_idle_slots_of(job);
     candidates.assign(own.begin(), own.end());
-    for (SlotId s : stage.preferred_slots_sorted()) {
+    for (SlotId s : stage.preferred_slots()) {
       if (cluster_.slot(s).state() == SlotState::Idle) candidates.push_back(s);
     }
     if (stage.accepts_any_slot(sim_.now(), config_.locality_wait)) {
@@ -599,13 +602,14 @@ void Engine::start_attempt(StageRuntime& stage, TaskAttempt& attempt,
   // original flips the stage to fully-placed.
   if (attempt.id.attempt == 0 && stage.all_placed()) {
     // Absent when a hook callback above already placed the stage's last
-    // task through a nested offer (and removed the entry there).
+    // task through a nested offer: that frame removed the entry and told
+    // the hook, so only the frame that removes the entry notifies it.
     if (ActiveIndex::iterator* entry = find_active(js, stage)) {
       active_.erase(*entry);
       *entry = js.active.back();
       js.active.pop_back();
+      hook_->on_stage_fully_placed(*this, stage.id());
     }
-    hook_->on_stage_fully_placed(*this, stage.id());
   }
 }
 

@@ -272,7 +272,8 @@ class Engine : public FailureSink {
                                    std::vector<SlotId>& out) const;
 
   /// Can `stage` start its next pending task on `slot` right now?
-  /// Checks approval and delay scheduling.  `slot` may be Idle or
+  /// Checks delay scheduling, then resource fit, then the hook's approval
+  /// (asked only if the first two pass).  `slot` may be Idle or
   /// ReservedIdle; reservation override is part of approval.
   bool stage_accepts_slot(const StageRuntime& stage, SlotId slot) const;
 

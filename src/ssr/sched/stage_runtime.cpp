@@ -1,6 +1,7 @@
 #include "ssr/sched/stage_runtime.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "ssr/common/check.h"
 
@@ -160,20 +161,14 @@ void StageRuntime::mark_killed(TaskAttempt& attempt, SimTime now) {
   if (attempt.id.attempt == 0) --running_originals_;
 }
 
-void StageRuntime::set_preferred_slots(std::unordered_set<SlotId> preferred) {
+void StageRuntime::set_preferred_slots(std::vector<SlotId> preferred) {
+  std::sort(preferred.begin(), preferred.end());
+  preferred.erase(std::unique(preferred.begin(), preferred.end()),
+                  preferred.end());
   preferred_ = std::move(preferred);
-  preferred_sorted_.assign(preferred_.begin(), preferred_.end());
-  std::sort(preferred_sorted_.begin(), preferred_sorted_.end());
-}
-
-bool StageRuntime::accepts_any_slot(SimTime now,
-                                    SimDuration locality_wait) const {
-  if (preferred_.empty()) return true;  // no locality preference at all
-  return now >= locality_relax_time(locality_wait);
-}
-
-SimTime StageRuntime::locality_relax_time(SimDuration locality_wait) const {
-  return last_local_launch_ + locality_wait;
+  preferred_bits_ =
+      SlotSet(preferred_.empty() ? 0 : preferred_.back().v + 1);
+  for (SlotId s : preferred_) preferred_bits_.insert(s);
 }
 
 }  // namespace ssr

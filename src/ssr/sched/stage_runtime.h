@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <deque>
 #include <optional>
-#include <unordered_set>
 #include <vector>
 
 #include "ssr/common/ids.h"
+#include "ssr/common/slot_set.h"
 #include "ssr/common/time.h"
 #include "ssr/dag/job.h"
 
@@ -128,28 +128,31 @@ class StageRuntime {
 
   // --- Delay scheduling ----------------------------------------------------
 
-  /// Slots that hold a parent stage's output (preferred, data-local).
-  const std::unordered_set<SlotId>& preferred_slots() const {
-    return preferred_;
-  }
-  void set_preferred_slots(std::unordered_set<SlotId> preferred);
-  bool is_preferred(SlotId slot) const { return preferred_.contains(slot); }
-
-  /// The preferred slots in ascending id order.  The hot path walks this
-  /// instead of filtering the whole idle set, so candidate enumeration is
-  /// proportional to the stage's locality footprint; the sorted order keeps
-  /// it bit-identical with an id-ordered idle-set scan.
-  const std::vector<SlotId>& preferred_slots_sorted() const {
-    return preferred_sorted_;
+  /// Slots that hold a parent stage's output (preferred, data-local), in
+  /// ascending id order.  The hot path walks this instead of filtering the
+  /// whole idle set, so candidate enumeration is proportional to the
+  /// stage's locality footprint; the sorted order keeps it bit-identical
+  /// with an id-ordered idle-set scan.
+  const std::vector<SlotId>& preferred_slots() const { return preferred_; }
+  /// Any order, duplicates allowed; stored sorted and unique.
+  void set_preferred_slots(std::vector<SlotId> preferred);
+  /// One bit test; false for every id above the highest preferred one.
+  bool is_preferred(SlotId slot) const {
+    return preferred_bits_.contains(slot);
   }
 
   /// Whether the task set currently accepts slots without locality.  True
   /// when it has no locality preference at all, or when `locality_wait` has
   /// elapsed since submission / the last local launch (Spark semantics).
-  bool accepts_any_slot(SimTime now, SimDuration locality_wait) const;
+  bool accepts_any_slot(SimTime now, SimDuration locality_wait) const {
+    if (preferred_.empty()) return true;  // no locality preference at all
+    return now >= locality_relax_time(locality_wait);
+  }
 
   /// Time at which accepts_any_slot() flips to true (for retry timers).
-  SimTime locality_relax_time(SimDuration locality_wait) const;
+  SimTime locality_relax_time(SimDuration locality_wait) const {
+    return last_local_launch_ + locality_wait;
+  }
 
   void note_local_launch(SimTime now) { last_local_launch_ = now; }
 
@@ -173,8 +176,8 @@ class StageRuntime {
   std::uint32_t running_originals_ = 0;
   std::optional<double> first_finish_duration_;
 
-  std::unordered_set<SlotId> preferred_;
-  std::vector<SlotId> preferred_sorted_;
+  std::vector<SlotId> preferred_;
+  SlotSet preferred_bits_;  ///< the same slots, sized to the highest id
   SimTime last_local_launch_;
   bool retry_timer_armed_ = false;
 };

@@ -181,6 +181,11 @@ class ReservationHook {
 
   /// ApprovalLogic (Algorithm 1, TryAllocateTask): may `job` with `priority`
   /// start a task on `slot`?  Must return true for unreserved idle slots.
+  /// Must be a pure function of engine state: no side effects that feed
+  /// back into scheduling, and the same answer for the same state however
+  /// often it is asked.  The engine relies on this to call it only after
+  /// the cheaper delay-scheduling and resource-fit checks pass, and to skip
+  /// it entirely for slots those checks reject.
   virtual bool approve(const Engine& engine, SlotId slot, JobId job,
                        int priority) const = 0;
 

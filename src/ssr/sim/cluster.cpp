@@ -1,6 +1,7 @@
 #include "ssr/sim/cluster.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 namespace ssr {
@@ -16,11 +17,11 @@ Cluster::Cluster(std::uint32_t num_nodes, std::uint32_t slots_per_node)
     for (std::uint32_t s = 0; s < slots_per_node; ++s) {
       slots_.emplace_back(SlotId{next_slot}, NodeId{n});
       record_capacity(slots_.back().capacity());
-      idle_.insert(SlotId{next_slot});
       slots_of_node_[n].push_back(SlotId{next_slot});
       ++next_slot;
     }
   }
+  index_all_idle();
 }
 
 Cluster::Cluster(const std::vector<std::vector<Resources>>& node_slots)
@@ -35,11 +36,17 @@ Cluster::Cluster(const std::vector<std::vector<Resources>>& node_slots)
                     "slot capacity must be positive");
       slots_.emplace_back(SlotId{next_slot}, NodeId{n}, cap);
       record_capacity(cap);
-      idle_.insert(SlotId{next_slot});
       slots_of_node_[n].push_back(SlotId{next_slot});
       ++next_slot;
     }
   }
+  index_all_idle();
+}
+
+void Cluster::index_all_idle() {
+  idle_ = SlotSet(num_slots());
+  reserved_idle_ = SlotSet(num_slots());
+  for (const Slot& s : slots_) idle_.insert(s.id());
 }
 
 void Cluster::record_capacity(const Resources& capacity) {
@@ -123,17 +130,22 @@ void Cluster::finish_task(SlotId id, SimTime now) {
   const StageId finished = s.running_task_->stage;
   const std::pair<std::uint32_t, std::uint32_t> key{finished.job.v,
                                                     finished.index};
-  auto res_it = std::lower_bound(s.resident_outputs_.begin(),
-                                 s.resident_outputs_.end(), key);
-  if (res_it == s.resident_outputs_.end() || *res_it != key) {
-    s.resident_outputs_.insert(res_it, key);
+  auto& res = s.resident_outputs_;
+  auto res_it = std::lower_bound(res.begin(), res.end(), key);
+  if (res_it == res.end() || *res_it != key) {
+    // The slot joins the job's output list with its first output of the job:
+    // the sorted neighbours are the only entries that could share the job.
+    const bool first_of_job =
+        (res_it == res.end() || res_it->first != key.first) &&
+        (res_it == res.begin() || std::prev(res_it)->first != key.first);
+    res.insert(res_it, key);
+    if (first_of_job) {
+      if (finished.job.v >= output_slots_of_job_.size()) {
+        output_slots_of_job_.resize(finished.job.v + 1);
+      }
+      output_slots_of_job_[finished.job.v].push_back(id);
+    }
   }
-  if (finished.job.v >= output_slots_of_job_.size()) {
-    output_slots_of_job_.resize(finished.job.v + 1);
-  }
-  std::vector<SlotId>& outs = output_slots_of_job_[finished.job.v];
-  auto out_it = std::lower_bound(outs.begin(), outs.end(), id);
-  if (out_it == outs.end() || *out_it != id) outs.insert(out_it, id);
   s.running_task_.reset();
   s.state_ = SlotState::Idle;
   idle_.insert(id);
@@ -219,10 +231,16 @@ std::vector<StageId> Cluster::take_resident_outputs(SlotId id) {
   std::vector<StageId> lost;
   lost.reserve(s.resident_outputs_.size());
   for (const auto& [job_raw, index] : s.resident_outputs_) {
+    // The vector is sorted, so a job's entries are contiguous: unlist the
+    // slot from the job's (unordered) output list once, by swap-and-pop.
+    if (lost.empty() || lost.back().job.v != job_raw) {
+      std::vector<SlotId>& outs = output_slots_of_job_[job_raw];
+      auto it = std::find(outs.begin(), outs.end(), id);
+      SSR_CHECK_MSG(it != outs.end(), "slot missing from its job's outputs");
+      *it = outs.back();
+      outs.pop_back();
+    }
     lost.push_back(StageId{JobId{job_raw}, index});
-    std::vector<SlotId>& outs = output_slots_of_job_[job_raw];
-    auto it = std::lower_bound(outs.begin(), outs.end(), id);
-    if (it != outs.end() && *it == id) outs.erase(it);
   }
   s.resident_outputs_.clear();
   // The per-slot vector is sorted by (job, index), which is exactly StageId

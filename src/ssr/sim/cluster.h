@@ -25,6 +25,7 @@
 #include "ssr/common/check.h"
 #include "ssr/common/ids.h"
 #include "ssr/common/resources.h"
+#include "ssr/common/slot_set.h"
 #include "ssr/common/time.h"
 
 namespace ssr {
@@ -119,11 +120,12 @@ class Cluster {
     return slots_of_node_.at(node.v);
   }
 
-  /// Slots currently Idle (unreserved), ordered by id for determinism.
-  const std::set<SlotId>& idle_slots() const { return idle_; }
+  /// Slots currently Idle (unreserved); iterates in id order for
+  /// determinism.
+  const SlotSet& idle_slots() const { return idle_; }
 
-  /// Slots currently ReservedIdle, ordered by id.
-  const std::set<SlotId>& reserved_idle_slots() const { return reserved_idle_; }
+  /// Slots currently ReservedIdle; iterates in id order.
+  const SlotSet& reserved_idle_slots() const { return reserved_idle_; }
 
   // --- Incremental scheduler indexes --------------------------------------
   // Maintained on every state transition so the scheduling hot path never
@@ -210,6 +212,8 @@ class Cluster {
   Slot& mutable_slot(SlotId id) { return slots_.at(id.v); }
   void accrue(Slot& s, SimTime now);
   void record_capacity(const Resources& capacity);
+  /// Size both free-slot sets to the slot count and mark every slot idle.
+  void index_all_idle();
   void index_reservation(SlotId id, const Reservation& r);
   void unindex_reservation(SlotId id, const Reservation& r);
 
@@ -217,17 +221,20 @@ class Cluster {
   std::vector<Slot> slots_;
   /// Per-node slot lists (ascending id), fixed at construction.
   std::vector<std::vector<SlotId>> slots_of_node_;
-  std::set<SlotId> idle_;
-  std::set<SlotId> reserved_idle_;
+  /// Dense bitsets over every slot id (sized at construction).
+  SlotSet idle_;
+  SlotSet reserved_idle_;
   /// Secondary views of reserved_idle_, keyed by reserving job / priority.
   /// Entries are erased when their set drains so the maps stay bounded by
   /// the number of live reservations, not of jobs ever seen.
   std::map<JobId, std::set<SlotId>> reserved_idle_of_job_;
   std::map<int, std::set<SlotId>> reserved_idle_by_priority_;
   /// Slots currently holding resident outputs of each job, indexed densely
-  /// by job raw id (jobs are dense small integers); each entry is a sorted,
-  /// unique slot vector.  Makes forget_job_outputs proportional to the
-  /// job's footprint with no hashing on the completion hot path.
+  /// by job raw id (jobs are dense small integers); each entry lists every
+  /// such slot exactly once, in no particular order (a slot is appended when
+  /// it gains its first output of the job).  Makes forget_job_outputs
+  /// proportional to the job's footprint with no hashing or sorted inserts
+  /// on the completion hot path.
   std::vector<std::vector<SlotId>> output_slots_of_job_;
   /// Distinct slot capacities (fixed at construction).
   std::vector<Resources> distinct_capacities_;

@@ -12,7 +12,9 @@
 //    auditor's task-lost invariant) and the running-task / slot state
 //    machines stay legal through every failure transition;
 //  * accounting — busy, reserved-idle, and dead slot-seconds implied by the
-//    observer stream match the cluster's own accounting.
+//    observer stream match the cluster's own accounting;
+//  * hook protocol — every trial's hook sits behind FullyPlacedOnceHook,
+//    which counts a stage reported fully placed twice in one round.
 //
 // The schedules mix transient and permanent node failures; the generator
 // never makes node 0 permanent, so a kernel of capacity always survives and
@@ -20,7 +22,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,11 +142,70 @@ std::unique_ptr<ReservationHook> make_hook(HookKind kind) {
   return nullptr;
 }
 
+/// Forwards every call to the trial's real hook and counts repeated
+/// on_stage_fully_placed notifications.  A stage becomes fully placed once
+/// per round of placements, so a second notification for a stage with no
+/// start of one of its original attempts in between is a duplicate.
+class FullyPlacedOnceHook : public ReservationHook {
+ public:
+  explicit FullyPlacedOnceHook(std::unique_ptr<ReservationHook> inner)
+      : inner_(std::move(inner)) {}
+
+  std::uint64_t notifications() const { return notifications_; }
+  std::uint64_t duplicates() const { return duplicates_; }
+
+  void on_task_finished(Engine& e, const TaskFinishInfo& i) override {
+    inner_->on_task_finished(e, i);
+  }
+  void on_task_killed(Engine& e, const TaskFinishInfo& i) override {
+    inner_->on_task_killed(e, i);
+  }
+  void on_slot_idle(Engine& e, SlotId s) override {
+    inner_->on_slot_idle(e, s);
+  }
+  void on_slot_failed(Engine& e, SlotId s) override {
+    inner_->on_slot_failed(e, s);
+  }
+  bool approve(const Engine& e, SlotId slot, JobId job,
+               int priority) const override {
+    return inner_->approve(e, slot, job, priority);
+  }
+  ReservedApprovalModel reserved_approval_model() const override {
+    return inner_->reserved_approval_model();
+  }
+  void on_stage_submitted(Engine& e, StageId s) override {
+    inner_->on_stage_submitted(e, s);
+  }
+  void on_stage_fully_placed(Engine& e, StageId s) override {
+    ++notifications_;
+    if (!notified_.insert(s).second) {
+      ++duplicates_;
+      ADD_FAILURE() << s << " notified fully placed twice";
+    }
+    inner_->on_stage_fully_placed(e, s);
+  }
+  void on_task_started(Engine& e, TaskId t, SlotId s) override {
+    if (t.attempt == 0) notified_.erase(t.stage);
+    inner_->on_task_started(e, t, s);
+  }
+  void on_job_finished(Engine& e, JobId j) override {
+    inner_->on_job_finished(e, j);
+  }
+
+ private:
+  std::unique_ptr<ReservationHook> inner_;
+  std::set<StageId> notified_;  ///< fully placed, no original started since
+  std::uint64_t notifications_ = 0;
+  std::uint64_t duplicates_ = 0;
+};
+
 struct TrialOutcome {
   RecoveryStats recovery;
   std::uint64_t events_audited = 0;
   std::uint64_t suspicions = 0;
   std::uint64_t false_suspicions = 0;
+  std::uint64_t fully_placed_notifications = 0;
+  std::uint64_t duplicate_fully_placed = 0;
 };
 
 /// Event-queue configuration for a chaos leg: sharded lanes and the calendar
@@ -164,7 +227,9 @@ TrialOutcome run_chaos_trial(const ChaosParams& p,
   cfg.event_queue_backend = queue.backend;
   cfg.event_shards = queue.shards;
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
-  engine.set_reservation_hook(make_hook(p.hook));
+  auto hook = std::make_unique<FullyPlacedOnceHook>(make_hook(p.hook));
+  const FullyPlacedOnceHook& placed = *hook;
+  engine.set_reservation_hook(std::move(hook));
 
   RecoveryStatsCollector recovery;
   engine.add_observer(&recovery);
@@ -187,9 +252,12 @@ TrialOutcome run_chaos_trial(const ChaosParams& p,
     EXPECT_TRUE(engine.job_finished(id)) << "job " << id << " never finished";
   }
   EXPECT_TRUE(auditor.clean()) << auditor.report();
-  return TrialOutcome{recovery.stats(), auditor.events_audited(),
+  return TrialOutcome{recovery.stats(),
+                      auditor.events_audited(),
                       detection.suspicions.size(),
-                      detection.false_suspicions()};
+                      detection.false_suspicions(),
+                      placed.notifications(),
+                      placed.duplicates()};
 }
 
 TEST(Chaos, EveryJobCompletesAndAuditStaysCleanOn200FailureScenarios) {
@@ -355,6 +423,8 @@ struct OpenTrialOutcome {
   std::uint64_t admitted = 0;
   std::uint64_t queued = 0;
   std::uint64_t rejected = 0;
+  std::uint64_t fully_placed_notifications = 0;
+  std::uint64_t duplicate_fully_placed = 0;
 };
 
 OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p,
@@ -364,7 +434,9 @@ OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p,
   cfg.event_queue_backend = queue.backend;
   cfg.event_shards = queue.shards;
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
-  engine.set_reservation_hook(make_hook(p.hook));
+  auto hook = std::make_unique<FullyPlacedOnceHook>(make_hook(p.hook));
+  const FullyPlacedOnceHook& placed = *hook;
+  engine.set_reservation_hook(std::move(hook));
 
   RecoveryStatsCollector recovery;
   engine.add_observer(&recovery);
@@ -398,6 +470,8 @@ OpenTrialOutcome run_open_chaos_trial(const OpenChaosParams& p,
   OpenTrialOutcome out;
   out.recovery = recovery.stats();
   out.events_audited = auditor.events_audited();
+  out.fully_placed_notifications = placed.notifications();
+  out.duplicate_fully_placed = placed.duplicates();
   for (const std::string& t : vcm.tenant_names()) {
     const TenantStats& s = vcm.stats(t);
     EXPECT_EQ(s.admitted, s.completed) << t;
@@ -448,6 +522,39 @@ TEST(Chaos, OpenArrivalFailureRunsAreDeterministic) {
   EXPECT_EQ(a.recovery.slots_failed, b.recovery.slots_failed);
   EXPECT_EQ(a.recovery.tasks_failed, b.recovery.tasks_failed);
   EXPECT_EQ(a.recovery.tasks_requeued, b.recovery.tasks_requeued);
+}
+
+// A hook callback inside start_attempt can place the stage's last task
+// through a nested offer (reserve or release -> offer).  Only the frame that
+// removes the stage from the offer index may report it fully placed;
+// ReservationManager re-runs its pre-reservation stop and release scan on
+// every notification.
+TEST(Chaos, StageFullyPlacedIsNotifiedOncePerPlacementRound) {
+  std::uint64_t notifications = 0;
+  for (std::uint64_t trial = 0; trial < 200; ++trial) {
+    const ChaosParams p = derive_params(trial);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const TrialOutcome outcome = run_chaos_trial(p);
+    EXPECT_EQ(outcome.duplicate_fully_placed, 0u);
+    notifications += outcome.fully_placed_notifications;
+  }
+  for (std::uint64_t trial = 0; trial < 100; ++trial) {
+    const ChaosParams p = derive_params(trial);
+    FailureDetectorConfig d = derive_detector(trial);
+    d.noise_horizon = p.failures.horizon;
+    SCOPED_TRACE("detector trial " + std::to_string(trial));
+    const TrialOutcome outcome = run_chaos_trial(p, d);
+    EXPECT_EQ(outcome.duplicate_fully_placed, 0u);
+    notifications += outcome.fully_placed_notifications;
+  }
+  for (std::uint64_t trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE("open trial " + std::to_string(trial));
+    const OpenTrialOutcome outcome =
+        run_open_chaos_trial(derive_open_params(trial));
+    EXPECT_EQ(outcome.duplicate_fully_placed, 0u);
+    notifications += outcome.fully_placed_notifications;
+  }
+  EXPECT_GT(notifications, 1000u);
 }
 
 // --- Policy-zoo chaos leg ----------------------------------------------------

@@ -1,11 +1,17 @@
-// Unit tests for ssr/common: rng, distributions, stats, tables.
+// Unit tests for ssr/common: rng, distributions, stats, tables, slot sets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <set>
+#include <vector>
 
 #include "ssr/common/check.h"
 #include "ssr/common/distributions.h"
 #include "ssr/common/rng.h"
+#include "ssr/common/slot_set.h"
 #include "ssr/common/stats.h"
 #include "ssr/common/table.h"
 
@@ -217,6 +223,106 @@ TEST(Check, OpMacroVariantsPass) {
   SSR_CHECK_GE(4.0, 4.0);
   EXPECT_THROW(SSR_CHECK_GT(1, 2), CheckError);
   EXPECT_THROW(SSR_CHECK_NE(5, 5), CheckError);
+}
+
+// --- SlotSet ----------------------------------------------------------------
+
+static_assert(std::forward_iterator<SlotSet::const_iterator>);
+
+std::vector<std::uint32_t> ids_of(const SlotSet& set) {
+  std::vector<std::uint32_t> out;
+  for (SlotId s : set) out.push_back(s.v);
+  return out;
+}
+
+TEST(SlotSet, EmptySetHasNothingToIterate) {
+  const SlotSet none;
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.begin(), none.end());
+  EXPECT_FALSE(none.contains(SlotId{0}));
+
+  const SlotSet sized(130);
+  EXPECT_TRUE(sized.empty());
+  EXPECT_EQ(sized.begin(), sized.end());
+  EXPECT_FALSE(sized.contains(SlotId{129}));
+  EXPECT_FALSE(sized.contains(SlotId{5000}));  // past capacity: absent
+}
+
+TEST(SlotSet, WordBoundariesIterateInIdOrder) {
+  constexpr std::uint32_t kLast = 129;  // capacity 130 spans three words
+  SlotSet set(kLast + 1);
+  for (std::uint32_t id : {kLast, 65u, 0u, 64u, 63u}) {
+    EXPECT_TRUE(set.insert(SlotId{id}));
+  }
+  EXPECT_EQ(ids_of(set), (std::vector<std::uint32_t>{0, 63, 64, 65, kLast}));
+  EXPECT_EQ(set.size(), 5u);
+  for (std::uint32_t id : {0u, 63u, 64u, 65u, kLast}) {
+    EXPECT_TRUE(set.contains(SlotId{id})) << id;
+  }
+  for (std::uint32_t id : {1u, 62u, 66u, 127u, 128u}) {
+    EXPECT_FALSE(set.contains(SlotId{id})) << id;
+  }
+  EXPECT_EQ(*set.begin(), SlotId{0});
+
+  EXPECT_TRUE(set.erase(SlotId{0}));
+  EXPECT_TRUE(set.erase(SlotId{64}));
+  EXPECT_EQ(ids_of(set), (std::vector<std::uint32_t>{63, 65, kLast}));
+  EXPECT_TRUE(set.erase(SlotId{63}));
+  EXPECT_TRUE(set.erase(SlotId{65}));
+  EXPECT_EQ(ids_of(set), (std::vector<std::uint32_t>{kLast}));
+  EXPECT_TRUE(set.erase(SlotId{kLast}));
+  EXPECT_TRUE(set.empty());
+  EXPECT_EQ(set.begin(), set.end());
+}
+
+TEST(SlotSet, RepeatedInsertAndEraseKeepTheCount) {
+  SlotSet set(64);
+  EXPECT_TRUE(set.insert(SlotId{63}));
+  EXPECT_FALSE(set.insert(SlotId{63}));
+  EXPECT_EQ(set.size(), 1u);
+  EXPECT_FALSE(set.empty());
+  EXPECT_TRUE(set.erase(SlotId{63}));
+  EXPECT_FALSE(set.erase(SlotId{63}));
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_TRUE(set.empty());
+  EXPECT_FALSE(set.erase(SlotId{7}));  // never inserted
+  EXPECT_TRUE(set.empty());
+}
+
+TEST(SlotSet, OutOfCapacityInsertOrEraseThrows) {
+  SlotSet set(64);
+  EXPECT_THROW(set.insert(SlotId{64}), CheckError);
+  EXPECT_THROW(set.erase(SlotId{64}), CheckError);
+  EXPECT_TRUE(set.empty());
+}
+
+TEST(SlotSet, RandomOperationsMatchStdSet) {
+  constexpr std::uint32_t kCapacity = 300;  // five words, the last partial
+  Rng rng(20240917);
+  SlotSet set(kCapacity);
+  std::set<SlotId> reference;
+  for (int op = 0; op < 10000; ++op) {
+    const SlotId id{
+        static_cast<std::uint32_t>(rng.uniform_int(0, kCapacity - 1))};
+    if (rng.bernoulli(0.55)) {
+      EXPECT_EQ(set.insert(id), reference.insert(id).second);
+    } else {
+      EXPECT_EQ(set.erase(id), reference.erase(id) == 1);
+    }
+    ASSERT_EQ(set.size(), reference.size());
+    ASSERT_EQ(set.empty(), reference.empty());
+    if (op % 97 == 0) {
+      ASSERT_TRUE(std::equal(set.begin(), set.end(), reference.begin(),
+                             reference.end()))
+          << "after operation " << op;
+    }
+  }
+  EXPECT_TRUE(std::equal(set.begin(), set.end(), reference.begin(),
+                         reference.end()));
+  for (std::uint32_t id = 0; id < kCapacity; ++id) {
+    EXPECT_EQ(set.contains(SlotId{id}), reference.contains(SlotId{id}));
+  }
 }
 
 }  // namespace

@@ -279,6 +279,62 @@ TEST(Engine, TaskStatsCountLocality) {
 // order the task sets became active in; delay-scheduling rejections arm the
 // retry timers the submission-ordered scan armed (DESIGN.md §8).
 
+// --- StageRuntime locality preferences ---------------------------------------
+
+std::vector<std::uint32_t> preferred_ids(const StageRuntime& stage) {
+  std::vector<std::uint32_t> out;
+  for (SlotId s : stage.preferred_slots()) out.push_back(s.v);
+  return out;
+}
+
+StageSpec two_task_spec() {
+  StageSpec spec;
+  spec.num_tasks = 2;
+  return spec;
+}
+
+TEST(StageRuntimePreferences, UnsortedDuplicateInputIsSortedAndUnique) {
+  const StageSpec spec = two_task_spec();
+  StageRuntime stage(StageId{}, spec, 0.0, {1.0, 1.0});
+  stage.set_preferred_slots({SlotId{70}, SlotId{3}, SlotId{70}, SlotId{64},
+                             SlotId{3}, SlotId{0}});
+  EXPECT_EQ(preferred_ids(stage), (std::vector<std::uint32_t>{0, 3, 64, 70}));
+  for (std::uint32_t id : {0u, 3u, 64u, 70u}) {
+    EXPECT_TRUE(stage.is_preferred(SlotId{id})) << id;
+  }
+  for (std::uint32_t id : {1u, 2u, 63u, 65u, 69u}) {
+    EXPECT_FALSE(stage.is_preferred(SlotId{id})) << id;
+  }
+}
+
+TEST(StageRuntimePreferences, IdsAboveTheHighestPreferredAreNotPreferred) {
+  const StageSpec spec = two_task_spec();
+  StageRuntime stage(StageId{}, spec, 0.0, {1.0, 1.0});
+  stage.set_preferred_slots({SlotId{5}, SlotId{2}});
+  EXPECT_TRUE(stage.is_preferred(SlotId{5}));
+  for (std::uint32_t id : {6u, 63u, 64u, 128u, 1u << 20}) {
+    EXPECT_FALSE(stage.is_preferred(SlotId{id})) << id;
+  }
+  // Replacing the preference drops the old bits.
+  stage.set_preferred_slots({SlotId{1}});
+  EXPECT_FALSE(stage.is_preferred(SlotId{5}));
+  EXPECT_TRUE(stage.is_preferred(SlotId{1}));
+}
+
+TEST(StageRuntimePreferences, EmptyPreferenceAcceptsAnySlot) {
+  const StageSpec spec = two_task_spec();
+  StageRuntime stage(StageId{}, spec, 10.0, {1.0, 1.0});
+  stage.set_preferred_slots({});
+  EXPECT_TRUE(stage.preferred_slots().empty());
+  EXPECT_FALSE(stage.is_preferred(SlotId{0}));
+  EXPECT_TRUE(stage.accepts_any_slot(10.0, 3.0));
+
+  // Contrast: with a preference the stage waits out the locality wait.
+  stage.set_preferred_slots({SlotId{4}});
+  EXPECT_FALSE(stage.accepts_any_slot(10.0, 3.0));
+  EXPECT_TRUE(stage.accepts_any_slot(13.0, 3.0));
+}
+
 TEST(EngineOfferOrder, HigherPriorityStageActivatedLaterWinsFreedSlot) {
   Engine engine(quick_sched(), 1, 1, 1);
   engine.submit(JobBuilder("blocker").stage(1, fixed_duration(10.0)).build());
