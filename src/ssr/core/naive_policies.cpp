@@ -58,19 +58,7 @@ void StaticReservationHook::on_slot_failed(Engine& engine, SlotId slot) {
 
 bool StaticReservationHook::approve(const Engine& engine, SlotId slot,
                                     JobId job, int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
+  return priority_override_approve(engine, slot, job, priority);
 }
 
 void StaticReservationHook::on_task_started(Engine& engine, TaskId,
@@ -123,19 +111,7 @@ void TimeoutReservationHook::on_slot_failed(Engine&, SlotId slot) {
 
 bool TimeoutReservationHook::approve(const Engine& engine, SlotId slot,
                                      JobId job, int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
+  return priority_override_approve(engine, slot, job, priority);
 }
 
 void TimeoutReservationHook::on_task_started(Engine&, TaskId, SlotId slot) {

@@ -126,19 +126,7 @@ void TableDrivenHook::on_slot_failed(Engine& engine, SlotId slot) {
 
 bool TableDrivenHook::approve(const Engine& engine, SlotId slot, JobId job,
                               int priority) const {
-  const Slot& s = engine.cluster().slot(slot);
-  switch (s.state()) {
-    case SlotState::Idle:
-      return true;
-    case SlotState::ReservedIdle: {
-      const Reservation& r = *s.reservation();
-      return r.job == job || priority > r.priority;
-    }
-    case SlotState::Busy:
-    case SlotState::Dead:
-      return false;
-  }
-  return false;
+  return priority_override_approve(engine, slot, job, priority);
 }
 
 void TableDrivenHook::on_stage_submitted(Engine& engine, StageId) {

@@ -1,6 +1,7 @@
-// Stale-suppression fixture: both annotations below suppress nothing — one
-// sits on a perfectly clean line, the other names a rule that does not
-// exist.  Expected: ssr-analyze flags [stale-suppression] twice.
+// Stale-suppression fixture: all three annotations below suppress nothing —
+// two sit on perfectly clean lines (one structural rule, one textual rule),
+// the third names a rule that does not exist.  Expected: ssr-analyze flags
+// [stale-suppression] three times.
 #include <map>
 
 namespace fixture {
@@ -8,6 +9,7 @@ namespace fixture {
 class Ledger {
  public:
   void add(int id, double w) { weights_[id] = w; }
+  int count() const { return 1; }  // ssr-analyze: allow(no-assert)
 
  private:
   std::map<int, double> weights_;  // ssr-analyze: allow(pointer-keyed-order)

@@ -2,6 +2,7 @@
 // justified allow annotation (same-line and line-above forms).
 // Expected: ssr-analyze reports nothing — and no stale-suppression either,
 // because every allow suppresses a live finding.
+#include <cassert>
 #include <map>
 
 namespace fixture {
@@ -9,6 +10,10 @@ namespace fixture {
 struct Node {
   int id;
 };
+
+inline void check(int v) {
+  assert(v >= 0);  // ssr-analyze: allow(no-assert)
+}
 
 class Arena {
  public:

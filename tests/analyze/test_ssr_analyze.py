@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Fixture suite for tools/ssr_analyze.py.
 
-Every analyzer rule has a deliberately-broken fixture it must flag and a
-clean fixture it must pass; suppression, stale-suppression, the baseline
+Every analyzer rule, structural or textual, has a deliberately-broken
+fixture it must flag and a clean fixture it must pass; suppression, stale-suppression, the baseline
 workflow, and the repo-sweep fixture exclusion are covered too.  Runs under
 ctest as `analyze.ssr_analyze_fixtures` (stdlib unittest; no pytest
 dependency in the container).
@@ -26,6 +26,8 @@ RULES = [
     "observer-schema",
     "sim-time-arith",
     "nondet-api",
+    "no-assert",
+    "pragma-once",
 ]
 
 # rule -> minimum number of findings its bad fixture must produce.
@@ -36,6 +38,8 @@ EXPECTED_MIN = {
     "observer-schema": 3,
     "sim-time-arith": 3,
     "nondet-api": 6,
+    "no-assert": 2,
+    "pragma-once": 1,
 }
 
 # Extra fixture pairs that exercise one rule beyond its primary fixture:
@@ -46,6 +50,16 @@ EXPECTED_MIN = {
 EXTRA_PAIRS = {
     "policy_selector": ("nondet-iteration", 3),
 }
+
+
+def fixture(kind, stem):
+    """The fixture file for `stem` under fixtures/<kind>/ (.cpp, or .h for
+    header-only rules such as pragma-once)."""
+    for suffix in (".cpp", ".h"):
+        path = FIXTURES / kind / (stem + suffix)
+        if path.is_file():
+            return path
+    raise AssertionError(f"missing fixture {FIXTURES / kind / stem}.*")
 
 
 def run_analyzer(*args):
@@ -66,9 +80,7 @@ def run_analyzer(*args):
 
 class BadFixturesAreFlagged(unittest.TestCase):
     def check_bad(self, stem, rule, expected_min):
-        path = FIXTURES / "bad" / (stem + ".cpp")
-        self.assertTrue(path.is_file(), f"missing fixture {path}")
-        code, findings, out = run_analyzer(path)
+        code, findings, out = run_analyzer(fixture("bad", stem))
         hits = [f for f in findings if f["rule"] == rule]
         self.assertEqual(code, 1, f"{stem}: expected exit 1, got {code}\n{out}")
         self.assertGreaterEqual(
@@ -78,6 +90,11 @@ class BadFixturesAreFlagged(unittest.TestCase):
         wrong = [f for f in findings if f["rule"] != rule]
         self.assertEqual(
             wrong, [], f"{stem}: unexpected cross-rule findings\n{out}")
+
+    def test_pragma_once_names_the_guard(self):
+        _, findings, out = run_analyzer(fixture("bad", "pragma_once"))
+        messages = " ".join(f["message"] for f in findings)
+        self.assertIn("#ifndef guard", messages, out)
 
 
 # One test method per rule so a broken rule names itself in the ctest log.
@@ -97,9 +114,7 @@ for _stem, (_rule, _min) in EXTRA_PAIRS.items():
 
 class CleanFixturesPass(unittest.TestCase):
     def check_clean(self, stem):
-        path = FIXTURES / "clean" / (stem + ".cpp")
-        self.assertTrue(path.is_file(), f"missing fixture {path}")
-        code, findings, out = run_analyzer(path)
+        code, findings, out = run_analyzer(fixture("clean", stem))
         self.assertEqual(code, 0, f"{stem}: clean fixture flagged\n{out}")
         self.assertEqual(findings, [])
 
@@ -120,9 +135,10 @@ class Suppressions(unittest.TestCase):
         code, findings, out = run_analyzer(FIXTURES / "stale_allow.cpp")
         self.assertEqual(code, 1, out)
         stale = [f for f in findings if f["rule"] == "stale-suppression"]
-        self.assertEqual(len(stale), 2, out)
+        self.assertEqual(len(stale), 3, out)
         messages = " ".join(f["message"] for f in stale)
         self.assertIn("no-such-rule", messages)
+        self.assertIn("allow(no-assert) suppresses nothing", messages)
 
 
 class BaselineWorkflow(unittest.TestCase):

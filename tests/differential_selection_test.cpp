@@ -157,13 +157,9 @@ struct TrialResult {
 };
 
 TrialResult run_trial(const TrialParams& p, bool reference,
-                      bool empty_injector = false,
-                      EventQueueBackend backend = EventQueueBackend::kBinaryHeap,
-                      std::uint32_t shards = 1) {
+                      bool empty_injector = false) {
   SchedConfig cfg;
   cfg.locality_wait = p.locality_wait;
-  cfg.event_queue_backend = backend;
-  cfg.event_shards = shards;
   Engine engine(cfg, p.nodes, p.slots_per_node, p.engine_seed);
   std::unique_ptr<ReservationHook> hook = make_hook(p);
   if (reference) {
@@ -239,46 +235,11 @@ TEST(DifferentialSelection, ReferenceSelectorIsTransparent) {
   EXPECT_EQ(log.events, run_trial(p, true).events);
 }
 
-// The optimized selection must also match the reference when the *event
-// queue* underneath is swapped for the calendar backend and sharded lanes:
-// the optimized run uses each alternate configuration while the reference
-// run stays on the sequential binary heap, so a single comparison covers
-// both the candidate-enumeration equivalence and the queue's bit-identical
-// merge contract (DESIGN.md §13) in one differential signal.
-TEST(DifferentialSelection, OptimizedShardedEnginesMatchSequentialReference) {
-  struct Alt {
-    EventQueueBackend backend;
-    std::uint32_t shards;
-  };
-  const Alt alts[] = {{EventQueueBackend::kCalendar, 1},
-                      {EventQueueBackend::kBinaryHeap, 4},
-                      {EventQueueBackend::kCalendar, 4}};
-  for (std::uint64_t trial = 0; trial < 60; ++trial) {
-    const TrialParams p = derive_params(trial);
-    const std::vector<SchedEvent> reference = run_trial(p, true).events;
-    for (const Alt& alt : alts) {
-      const std::vector<SchedEvent> optimized =
-          run_trial(p, false, false, alt.backend, alt.shards).events;
-      ASSERT_EQ(optimized.size(), reference.size())
-          << "trial " << trial << " shards " << alt.shards << " backend "
-          << static_cast<int>(alt.backend) << ": event counts diverged";
-      for (std::size_t i = 0; i < optimized.size(); ++i) {
-        ASSERT_EQ(optimized[i], reference[i])
-            << "trial " << trial << " shards " << alt.shards << " backend "
-            << static_cast<int>(alt.backend) << " diverged at event " << i
-            << ":\n  optimized: " << describe(optimized[i])
-            << "\n  reference: " << describe(reference[i]);
-      }
-    }
-  }
-}
-
 // --- Policy-zoo legs ---------------------------------------------------------
 //
 // Every zoo policy (exp/policy_zoo.h) must uphold the same determinism
 // contract as the default scheduler: the complete scheduling event sequence
-// is a function of the scenario alone, not of the event-queue backend or
-// shard count (DESIGN.md §13).  Each trial randomizes cluster size, trace
+// is a function of the scenario alone.  Each trial randomizes cluster size, trace
 // mix and locality config exactly like the hook trials above, turns on
 // per-stage demand vectors (so the packing selector makes real decisions),
 // and runs through the full ScenarioHarness — under -DSSR_AUDIT=ON the
@@ -291,8 +252,7 @@ struct ZooOutcome {
   std::uint32_t total_slots = 0;
 };
 
-ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial,
-                         EventQueueBackend backend, std::uint32_t shards) {
+ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial) {
   const TrialParams p = derive_params(trial);
   const ClusterSpec cluster{
       .nodes = p.nodes, .slots_per_node = p.slots_per_node, .node_slots = {}};
@@ -300,8 +260,6 @@ ZooOutcome run_zoo_trial(ZooPolicy policy, std::uint64_t trial,
   options.seed = p.engine_seed;
   options.sched.locality_wait = p.locality_wait;
   apply_zoo_policy(policy, cluster, options);
-  options.sched.event_queue_backend = backend;
-  options.sched.event_shards = shards;
   TraceGenConfig bg = p.bg;
   bg.vary_demand = true;
   ScenarioHarness harness(cluster, options);
@@ -350,40 +308,25 @@ void check_zoo_run(const ZooOutcome& out, const std::string& label) {
       << label << ": slot-time over-commit";
 }
 
-TEST(DifferentialSelection, ZooPoliciesAreBackendAndShardInvariant) {
+TEST(DifferentialSelection, ZooPoliciesCompleteAndAreDeterministic) {
   constexpr std::uint64_t kTrialsPerPolicy = 40;
-  struct Alt {
-    EventQueueBackend backend;
-    std::uint32_t shards;
-  };
-  const Alt alts[] = {
-      {EventQueueBackend::kBinaryHeap, 2}, {EventQueueBackend::kBinaryHeap, 4},
-      {EventQueueBackend::kBinaryHeap, 8}, {EventQueueBackend::kCalendar, 1},
-      {EventQueueBackend::kCalendar, 2},   {EventQueueBackend::kCalendar, 4},
-      {EventQueueBackend::kCalendar, 8}};
   for (ZooPolicy policy : all_zoo_policies()) {
     for (std::uint64_t trial = 0; trial < kTrialsPerPolicy; ++trial) {
       const std::string label = std::string(zoo_policy_name(policy)) +
                                 " trial " + std::to_string(trial);
-      const ZooOutcome reference =
-          run_zoo_trial(policy, trial, EventQueueBackend::kBinaryHeap, 1);
+      const ZooOutcome reference = run_zoo_trial(policy, trial);
       check_zoo_run(reference, label);
-      for (const Alt& alt : alts) {
-        const ZooOutcome other =
-            run_zoo_trial(policy, trial, alt.backend, alt.shards);
-        ASSERT_EQ(other.events.size(), reference.events.size())
-            << label << " shards " << alt.shards << " backend "
-            << static_cast<int>(alt.backend) << ": event counts diverged";
-        for (std::size_t i = 0; i < reference.events.size(); ++i) {
-          ASSERT_EQ(other.events[i], reference.events[i])
-              << label << " shards " << alt.shards << " backend "
-              << static_cast<int>(alt.backend) << " diverged at event " << i
-              << ":\n  alt:       " << describe(other.events[i])
-              << "\n  reference: " << describe(reference.events[i]);
-        }
-        ASSERT_TRUE(other.totals == reference.totals)
-            << label << " shards " << alt.shards << ": totals diverged";
+      const ZooOutcome again = run_zoo_trial(policy, trial);
+      ASSERT_EQ(again.events.size(), reference.events.size())
+          << label << ": event counts diverged";
+      for (std::size_t i = 0; i < reference.events.size(); ++i) {
+        ASSERT_EQ(again.events[i], reference.events[i])
+            << label << " diverged at event " << i
+            << ":\n  rerun:     " << describe(again.events[i])
+            << "\n  reference: " << describe(reference.events[i]);
       }
+      ASSERT_TRUE(again.totals == reference.totals)
+          << label << ": totals diverged";
     }
   }
 }

@@ -207,7 +207,8 @@ OpenTrial derive_open_trial(std::uint64_t trial) {
   double expected_span = 0.0;
   for (std::uint32_t ti = 0; ti < num_tenants; ++ti) {
     VirtualClusterSpec vc;
-    vc.name = "t" + std::to_string(ti);
+    vc.name = "t";
+    vc.name += std::to_string(ti);
     vc.min_slots = static_cast<std::uint32_t>(splitmix64(s) % 2);
     vc.max_slots = 2 + static_cast<std::uint32_t>(splitmix64(s) % total);
     vc.queue_when_full = (splitmix64(s) % 4) != 0;

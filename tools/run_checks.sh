@@ -2,26 +2,25 @@
 # Single entry point for the static-check toolchain: the CI `analyze` job
 # runs exactly this script, so a green local run means a green CI lane.
 #
-#   tools/run_checks.sh            # lint + analyze + fixture self-tests
+#   tools/run_checks.sh            # analyze + fixture self-tests
 #   tools/run_checks.sh --tidy     # additionally clang-tidy (needs a
 #                                  # compile_commands.json build dir and
 #                                  # clang-tidy on PATH)
 #
 # Steps:
-#   1. ssr_lint.py     — textual conventions (no-assert, pragma-once,
-#                        stale-suppression) over src tests bench examples.
-#   2. ssr_analyze.py  — AST-level determinism/concurrency rules, gated on
-#                        zero unbaselined findings against the committed
+#   1. ssr_analyze.py  — AST-level determinism/concurrency rules plus the
+#                        textual conventions (no-assert, pragma-once), gated
+#                        on zero unbaselined findings against the committed
 #                        tools/ssr_analyze_baseline.json.
-#   3. fixture suites  — the analyzer/linter/bench-gate self-tests
+#   2. fixture suites  — the analyzer and bench-gate self-tests
 #                        (tests/analyze/), so a broken rule cannot pass
 #                        silently.
-#   4. clang frontend  — if python clang bindings are importable (CI pins
+#   3. clang frontend  — if python clang bindings are importable (CI pins
 #                        `pip install libclang==14.0.6`), re-run the
 #                        analyzer with --frontend=clang over
 #                        compile_commands.json as a cross-check of the
 #                        canonical python frontend.  Skipped otherwise.
-#   5. clang-tidy      — only with --tidy; optional everywhere.
+#   4. clang-tidy      — only with --tidy; optional everywhere.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -31,9 +30,6 @@ BUILD_DIR="${BUILD_DIR:-build}"
 TIDY=0
 [[ "${1:-}" == "--tidy" ]] && TIDY=1
 
-echo "==> ssr_lint"
-"$PYTHON" tools/ssr_lint.py
-
 echo "==> ssr_analyze (python frontend, baseline gate)"
 "$PYTHON" tools/ssr_analyze.py \
     --baseline tools/ssr_analyze_baseline.json \
@@ -41,8 +37,7 @@ echo "==> ssr_analyze (python frontend, baseline gate)"
 
 echo "==> toolchain fixture self-tests"
 (cd tests && "$PYTHON" -m unittest \
-    analyze.test_ssr_analyze analyze.test_ssr_lint \
-    analyze.test_check_bench_regression)
+    analyze.test_ssr_analyze analyze.test_check_bench_regression)
 
 if "$PYTHON" -c 'import clang.cindex' 2>/dev/null; then
   echo "==> ssr_analyze (clang frontend cross-check)"

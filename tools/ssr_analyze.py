@@ -5,11 +5,12 @@ Every correctness guarantee this reproduction makes rests on bit-identical
 determinism: golden-replay digests, the 200-scenario differential suite, the
 open-vs-closed equivalence suite and the trace round-trips all compare byte
 streams.  The runtime suites *sample* nondeterminism; this pass proves the
-structural sources of it absent before code lands.  Unlike tools/ssr_lint.py
-(line regexes for textual conventions), every rule here runs over a parsed
-representation of the code: class/field/method structure, local variable
-types, range-for iteration targets resolved through member and call chains,
-lock_guard scopes, and a cross-TU call graph.
+structural sources of it absent before code lands.  The determinism and
+concurrency rules run over a parsed representation of the code:
+class/field/method structure, local variable types, range-for iteration
+targets resolved through member and call chains, lock_guard scopes, and a
+cross-TU call graph.  Two textual rules (no-assert, pragma-once) enforce
+project conventions over comment- and string-stripped source.
 
 Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
 
@@ -27,8 +28,8 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
   lock-discipline     a field of a mutex-holding class accessed both under a
                       lock_guard/unique_lock/scoped_lock of that mutex and
                       outside any lock region (constructors/destructors are
-                      exempt: single-threaded by contract).  Race candidates
-                      for the sharded engine.
+                      exempt: single-threaded by contract).  Race
+                      candidates for the sweep runner's thread pool.
   observer-schema     AST-accurate replacement for the retired regex
                       trace-schema lint: every virtual on_* of EngineObserver
                       must be overridden+serialized by TraceRecorder (with a
@@ -44,6 +45,10 @@ Rules (see DESIGN.md §12 for the hazard-class -> runtime-suite mapping):
                       rand/srand/time(nullptr) calls, std::random_device,
                       default-constructed <random> engines (including
                       never-seeded engine fields), and naked `new`.
+  no-assert           assert()/abort() terminate without context; use the
+                      SSR_CHECK* macros, which throw ssr::CheckError with
+                      file:line and a message (tests rely on catching it).
+  pragma-once         headers use #pragma once, not #ifndef guards.
 
 Usage:
   tools/ssr_analyze.py [paths...]        # default: src tools bench examples
@@ -79,7 +84,7 @@ CXX_SUFFIXES = {".h", ".hpp", ".cpp", ".cc", ".cxx"}
 # Directories whose contents are deliberately-broken analyzer fixtures; never
 # part of a repo sweep (tests/analyze/test_ssr_analyze.py points the analyzer
 # at them explicitly).
-SKIP_DIR_PARTS = ("tests/analyze/fixtures", "tests/analyze/lint_fixtures")
+SKIP_DIR_PARTS = ("tests/analyze/fixtures",)
 
 ALLOW_RE = re.compile(r"//\s*ssr-analyze:\s*allow\(([a-z0-9-]+)\)")
 
@@ -102,6 +107,10 @@ RULES = {
     "nondet-api":
         "no wall-clock, unseeded <random> engines, std::random_device, or "
         "naked new",
+    "no-assert":
+        "no assert()/abort(); use SSR_CHECK*/SSR_CHECK_MSG",
+    "pragma-once":
+        "headers must use #pragma once, not #ifndef guards",
     "stale-suppression":
         "an ssr-analyze: allow(...) annotation must suppress a finding",
 }
@@ -247,7 +256,7 @@ class FieldAccess:
 @dataclass
 class QualAccess:
     """`base.member` / `base->member` where `base` is a plain local/param —
-    the shard-lane pattern (`std::scoped_lock lk(lane.mu); lane.heap...`)
+    the per-lane pattern (`std::scoped_lock lk(lane.mu); lane.heap...`)
     where the mutex lives on a struct reached through a variable rather
     than on the enclosing class.  guarded_by holds *all* identifiers named
     in covering lock-guard constructor args, so `base in guarded_by` means
@@ -937,7 +946,7 @@ class FileParser:
                             name=v, line=t.line, guarded_by=guards_at(j)))
                 # qualified access `var.member` / `var->member` at the head
                 # of a chain — the rule layer resolves `var`'s type and
-                # checks struct-member mutex discipline (shard-lane state).
+                # checks struct-member mutex discipline (per-lane state).
                 prev_q = toks[j - 1].value if j > i else ""
                 if v != "this" and prev_q not in (".", "->", "::") and \
                         j + 2 < end and toks[j + 1].value in (".", "->") and \
@@ -1347,13 +1356,13 @@ def rule_lock_discipline(program: Program):
 
 
 def _struct_member_lock_pass(program: Program):
-    """Shard-lane discipline: a struct that carries its own mutex (the
-    sharded engine's per-lane state) is reached through locals/params, so
+    """Per-lane discipline: a struct that carries its own mutex (per-worker
+    state such as a work lane) is reached through locals/params, so
     the enclosing-class pass above never sees it.  `lane.field` counts as
     guarded when a covering lock region was constructed from `lane` itself
     (`std::scoped_lock lk(lane.mu)` names both `lane` and `mu`); a field
-    that is locked on one path and naked on another is the race candidate
-    the sharded workers must never reintroduce."""
+    that is locked on one path and naked on another is a race
+    candidate."""
     findings = []
     # struct name -> (mutex field names, non-exempt data field names)
     locked_structs = {}
@@ -1692,6 +1701,83 @@ def _is_default_init(init: str) -> bool:
     return stripped in ("", "{}", "()")
 
 
+# --------------------------------------------------------------------------
+# Textual rules (no parse needed; comments and literals blanked first)
+# --------------------------------------------------------------------------
+
+HEADER_SUFFIXES = {".h", ".hpp"}
+
+
+def strip_comments_and_strings(text: str) -> str:
+    """Blank out comments and string/char literals, preserving line
+    structure, so `// use assert here? no` or "abort()" never match."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            j = text.find("\n", i)
+            j = n if j == -1 else j
+            out.append(" " * (j - i))
+            i = j
+        elif c == "/" and nxt == "*":
+            j = text.find("*/", i + 2)
+            j = n if j == -1 else j + 2
+            out.append("".join(ch if ch == "\n" else " " for ch in text[i:j]))
+            i = j
+        elif c in "\"'":
+            j = i + 1
+            while j < n and text[j] != c:
+                j += 2 if text[j] == "\\" else 1
+            j = min(j + 1, n)
+            out.append(c + " " * (j - i - 2) + (c if j - i >= 2 else ""))
+            i = j
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+_ASSERT_PATTERNS = [
+    (re.compile(r"(?<![\w.])assert\s*\("),
+     "assert() aborts without context; use SSR_CHECK or SSR_CHECK_MSG"),
+    (re.compile(r"(?<![\w.])(?:std::)?abort\s*\("),
+     "abort() is uncatchable; throw via SSR_CHECK_MSG(false, ...) instead"),
+]
+_GUARD_RE = re.compile(r"^\s*#\s*ifndef\s+\w+_H[_\w]*\s*$", re.MULTILINE)
+_PRAGMA_ONCE_RE = re.compile(r"^\s*#\s*pragma\s+once\s*$", re.MULTILINE)
+
+
+def rule_no_assert(program: Program):
+    findings = []
+    for f in program.files:
+        stripped = strip_comments_and_strings("\n".join(f.lines))
+        for lineno, line in enumerate(stripped.splitlines(), start=1):
+            for pattern, message in _ASSERT_PATTERNS:
+                if pattern.search(line):
+                    findings.append(Finding(f.rel, lineno, "no-assert",
+                                            message))
+    return findings
+
+
+def rule_pragma_once(program: Program):
+    findings = []
+    for f in program.files:
+        if Path(f.rel).suffix not in HEADER_SUFFIXES:
+            continue
+        stripped = strip_comments_and_strings("\n".join(f.lines))
+        if _PRAGMA_ONCE_RE.search(stripped):
+            continue
+        guard = _GUARD_RE.search(stripped)
+        lineno = stripped[: guard.start()].count("\n") + 1 if guard else 1
+        findings.append(Finding(
+            f.rel, lineno, "pragma-once",
+            "header lacks #pragma once" +
+            (" (uses an #ifndef guard)" if guard else "")))
+    return findings
+
+
 RULE_FUNCS = {
     "nondet-iteration": rule_nondet_iteration,
     "pointer-keyed-order": rule_pointer_keyed_order,
@@ -1699,6 +1785,8 @@ RULE_FUNCS = {
     "observer-schema": rule_observer_schema,
     "sim-time-arith": rule_sim_time_arith,
     "nondet-api": rule_nondet_api,
+    "no-assert": rule_no_assert,
+    "pragma-once": rule_pragma_once,
 }
 
 
